@@ -77,6 +77,7 @@ from repro.data.generators import (
     make_recidivism,
 )
 from repro.data.io import load_dataset, save_dataset
+from repro.data.ooc import stream_chunks
 from repro.exceptions import ReproError
 from repro.observability import Tracer, configure_logging, use_tracer
 from repro.robustness import ExecutionPolicy
@@ -587,14 +588,6 @@ def _print_report(report, fmt: str) -> None:
         print(render_markdown(report))
 
 
-def _dataset_chunks(dataset, chunk_size: int):
-    """Slice a dataset into row-contiguous chunks for the stream engine."""
-    import numpy as np
-
-    for lo in range(0, dataset.n_rows, chunk_size):
-        yield dataset.take(np.arange(lo, min(lo + chunk_size, dataset.n_rows)))
-
-
 def _cmd_audit(args) -> int:
     from repro.exceptions import AuditError
 
@@ -618,7 +611,7 @@ def _cmd_audit(args) -> int:
         if args.chunk_size < 1:
             raise AuditError("--chunk-size must be >= 1")
         accumulator = ingest_stream(
-            _dataset_chunks(dataset, args.chunk_size),
+            stream_chunks(dataset, args.chunk_size),
             config,
             checkpoint=args.checkpoint,
             resume=args.resume,

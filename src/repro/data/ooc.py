@@ -60,6 +60,7 @@ __all__ = [
     "is_packed",
     "packed_fingerprint",
     "MemmapDataset",
+    "PackedChunk",
     "stream_chunks",
 ]
 
@@ -798,15 +799,6 @@ class MemmapDataset(TabularDataset):
 
     # -- row selection -------------------------------------------------------
 
-    def _slice(self, lo: int, hi: int) -> TabularDataset:
-        """Rows ``[lo, hi)`` as an in-memory dataset via buffered reads."""
-        columns: dict[str, np.ndarray] = {}
-        for col in self._schema:
-            arr = self.open_column(col.name).read(lo, hi)
-            arr.setflags(write=False)
-            columns[col.name] = arr
-        return TabularDataset._trusted(self._schema, columns, hi - lo)
-
     def take(self, indices) -> TabularDataset:
         indices = np.asarray(indices)
         if indices.dtype == bool:
@@ -828,7 +820,7 @@ class MemmapDataset(TabularDataset):
                 and int(indices[-1]) == hi - 1
                 and (len(indices) == 1 or bool(np.all(np.diff(indices) == 1)))
             ):
-                return self._slice(lo, hi)
+                return PackedChunk(self, lo, hi)
         columns: dict[str, np.ndarray] = {}
         for col in self._schema:
             picked = self.column(col.name)[indices]
@@ -837,10 +829,10 @@ class MemmapDataset(TabularDataset):
         return TabularDataset._trusted(self._schema, columns, len(indices))
 
     def iter_chunks(self, chunk_rows: int | None = None):
-        """Yield contiguous in-memory row chunks of the packed dataset."""
+        """Yield contiguous row chunks (:class:`PackedChunk`) of the pack."""
         step = int(chunk_rows or self.chunk_rows)
         for lo in range(0, self._n_rows, step):
-            yield self._slice(lo, min(lo + step, self._n_rows))
+            yield PackedChunk(self, lo, min(lo + step, self._n_rows))
 
     # -- column transformation: materialise, then delegate -------------------
 
@@ -863,6 +855,37 @@ class MemmapDataset(TabularDataset):
             f"MemmapDataset(path={str(self._path)!r}, n_rows={self._n_rows}, "
             f"n_columns={len(self._schema)})"
         )
+
+
+class PackedChunk(TabularDataset):
+    """Rows ``[lo, hi)`` of a pack; each column is read on first access.
+
+    :meth:`stored_codes` serves a discrete column's pack-time codes, so
+    a consumer that only counts categories
+    (:meth:`repro.streaming.AuditAccumulator.ingest_dataset`) reads the
+    code slices as stored — never the values, nor a column it skips.
+    """
+
+    def __init__(self, pack: MemmapDataset, lo: int, hi: int):
+        self._schema = pack.schema
+        self._n_rows = hi - lo
+        self._columns = _LazyColumns(pack.schema.names(), self._read)
+        self._pack = pack
+        self._lo = lo
+        self._hi = hi
+
+    def _read(self, name: str) -> np.ndarray:
+        arr = self._pack.open_column(name).read(self._lo, self._hi)
+        arr.setflags(write=False)
+        return arr
+
+    def stored_codes(self, name: str):
+        """``(categories, codes)`` for a discrete column; ``None`` otherwise."""
+        meta = self._pack._require(name)
+        if meta["codes"] is None:
+            return None
+        codes = self._pack.codes_reader(name).read(self._lo, self._hi)
+        return meta["codes"]["categories"], codes
 
 
 def stream_chunks(source, chunk_rows: int | None = None):

@@ -23,7 +23,7 @@ remain available behind the ``"reference"`` backend
 """
 
 from repro.kernel._backend import BACKENDS, get_backend, set_backend, use_backend
-from repro.kernel.codes import CodeTable, clear_cache, codes_for, encode
+from repro.kernel.codes import CategoryTable, CodeTable, clear_cache, codes_for, encode
 from repro.kernel.contingency import (
     GroupCounts,
     StratifiedCounts,
@@ -50,6 +50,7 @@ __all__ = [
     "set_backend",
     "use_backend",
     "CodeTable",
+    "CategoryTable",
     "encode",
     "codes_for",
     "clear_cache",

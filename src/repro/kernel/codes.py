@@ -25,7 +25,10 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.observability.metrics import get_metrics
 
-__all__ = ["CodeTable", "encode", "codes_for", "cache_get", "cache_put", "clear_cache"]
+__all__ = [
+    "CodeTable", "CategoryTable", "encode", "codes_for", "cache_get",
+    "cache_put", "clear_cache",
+]
 
 
 class CodeTable:
@@ -112,6 +115,69 @@ def encode(values, categories: list | None = None) -> CodeTable:
             cats_array = np.asarray(cats, dtype=object)
     codes = remap[inverse] if len(unique_list) else np.zeros(0, dtype=np.int64)
     return CodeTable(cats, cats_array, codes)
+
+
+#: rows an empty :class:`CategoryTable` learns from before its first probe
+_PREFIX_ROWS = 1024
+
+
+class CategoryTable:
+    """An append-only category list that encodes chunks against itself.
+
+    Codes index :attr:`categories` in append order, so a code stays
+    valid however the table grows; new values append in repr order.
+    Encoding is one O(n log k) ``searchsorted`` probe against the
+    value-sorted categories, not a sort of the chunk: an empty table
+    first learns from a short prefix, and only the rows a probe misses
+    are sorted for new values.  Categories of mixed types, and values
+    the probe cannot compare, fall back to :func:`encode` (a sort).
+    """
+
+    __slots__ = ("categories", "_seen", "_lookup")
+
+    def __init__(self):
+        self.categories: list = []
+        self._seen: set = set()
+        #: (value-sorted categories, sorted position → code) or None
+        self._lookup: tuple | None = None
+
+    def encode(self, values) -> np.ndarray:
+        """int64 codes of ``values`` into :attr:`categories`."""
+        arr = np.asarray(values)
+        if not self.categories:
+            self._learn(arr[:_PREFIX_ROWS])
+        for _probe in range(2):
+            if self._lookup is None:
+                break
+            sorted_cats, remap = self._lookup
+            try:
+                pos = sorted_cats.searchsorted(arr)
+                np.minimum(pos, len(sorted_cats) - 1, out=pos)
+                hit = sorted_cats[pos] == arr
+            except (TypeError, ValueError):  # incomparable values
+                break
+            if not isinstance(hit, np.ndarray) or hit.shape != arr.shape:
+                break
+            if hit.all():
+                return remap[pos]
+            self._learn(arr[~hit])
+        self._learn(arr)
+        return encode(arr, categories=self.categories).codes
+
+    def _learn(self, values) -> None:
+        """Append the values not yet known and rebuild the probe."""
+        seen = self._seen
+        new = [v for v in np.unique(values).tolist() if v not in seen]
+        for value in sorted(new, key=repr):
+            value = value.item() if hasattr(value, "item") else value
+            seen.add(value)
+            self.categories.append(value)
+        self._lookup = None
+        if len({type(v) for v in self.categories}) == 1:
+            cats_array = np.asarray(self.categories)
+            if cats_array.dtype != object:
+                order = np.argsort(cats_array)
+                self._lookup = cats_array[order], order.astype(np.int64)
 
 
 class _IdentityCache:

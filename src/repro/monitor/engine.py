@@ -11,13 +11,12 @@ it:
 
 * **Vectorized ingest.**  Chunks stay numpy arrays end to end: each
   observed chunk is encoded *once, at ingest* into joint-contingency
-  code space (fleet-persistent category tables shared by every
-  stream, probed by a cached ``searchsorted`` lookup with
-  :func:`repro.kernel.codes.encode` as the new-category fallback), so
-  closing a window is slicing integer code arrays plus one
+  code space (one fleet-persistent
+  :class:`~repro.kernel.codes.CategoryTable` per axis, shared by every
+  stream), so closing a window is slicing integer code arrays plus one
   ``bincount`` folded into the stream's *cumulative*
   :class:`~repro.streaming.accumulator.AuditAccumulator` via
-  :meth:`~repro.streaming.accumulator.AuditAccumulator.ingest_counts`.
+  :meth:`~repro.streaming.accumulator.AuditAccumulator.ingest_codes`.
   Windows close by subtracting the previous base state
   (:meth:`~repro.streaming.accumulator.AuditAccumulator.diff`), and
   eligible configs are scored straight from the cell delta
@@ -61,7 +60,7 @@ from repro.core.config import (
     MonitorConfig,
 )
 from repro.exceptions import AuditError
-from repro.kernel.codes import encode
+from repro.kernel.codes import CategoryTable
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import get_tracer
 from repro.stats.batch import batch_two_proportion_z, batch_wilson_interval
@@ -299,14 +298,9 @@ class MonitorFleet:
         if self.audits_labels and self.label is None:
             raise AuditError("a data audit (audits_labels) requires a label")
         self._dims = self._new_accumulator()._dims
-        # fleet-persistent shared code tables: categories only ever
-        # append, so codes stay stable across windows and streams
-        self._categories: dict[str, list] = {d: [] for d in self._dims}
-        self._seen: dict[str, set] = {d: set() for d in self._dims}
-        #: per-dim (value-sorted categories, sorted→code remap) caches
-        #: for the steady-state searchsorted encoder; rebuilt whenever a
-        #: dim grows a category, None when its values defeat sorting
-        self._lookup: dict[str, tuple | None] = {}
+        # shared append-only tables: codes stay valid across windows and
+        # streams
+        self._tables = {dim: CategoryTable() for dim in self._dims}
         self._streams: dict[str, StreamState] = {}
         # window scoring strategy: when the config rules out everything
         # the O(cells) scorer cannot reproduce — fault injection, a
@@ -514,83 +508,15 @@ class MonitorFleet:
         window slices also amortises every per-call cost over the full
         chunk length.
         """
-        return {
-            dim: self._encode_codes(dim, columns[dim])
-            for dim in self._dims
-        }
+        return {dim: self._tables[dim].encode(columns[dim]) for dim in self._dims}
 
-    def _encode_codes(self, dim: str, arr: np.ndarray) -> np.ndarray:
-        """Codes for one column against the fleet-shared category table.
-
-        Steady state — every value already in the table — takes the
-        searchsorted path: one O(n log k) probe against the value-sorted
-        categories instead of :func:`~repro.kernel.codes.encode`'s full
-        O(n log n) sort, with codes remapped to the table's append
-        order.  A chunk carrying a new value (or values the cached
-        array cannot compare against) falls back to the canonical
-        encoder and refreshes the cache.
-        """
-        categories = self._categories[dim]
-        lookup = self._lookup.get(dim)
-        if lookup is not None:
-            sorted_cats, remap = lookup
-            try:
-                pos = np.searchsorted(sorted_cats, arr)
-                clipped = np.minimum(pos, len(sorted_cats) - 1)
-                if bool((sorted_cats[clipped] == arr).all()):
-                    return remap[clipped]
-            except (TypeError, AttributeError):  # incomparable: slow path
-                pass
-        seen = self._seen[dim]
-        new = [v for v in np.unique(arr).tolist() if v not in seen]
-        if new:
-            for value in sorted(new, key=repr):
-                seen.add(value)
-                categories.append(value)
-        self._lookup[dim] = self._build_lookup(categories)
-        return encode(arr, categories=categories).codes
-
-    @staticmethod
-    def _build_lookup(categories: list) -> tuple | None:
-        """(value-sorted categories, sorted-position → code) or None."""
-        try:
-            cats_array = np.asarray(categories)
-            if cats_array.dtype == object:
-                return None
-            order = np.argsort(cats_array)
-        except (TypeError, ValueError):  # mixed/unsortable categories
-            return None
-        return cats_array[order], order.astype(np.int64)
-
-    def _fold(self, state: StreamState, codes: dict[str, np.ndarray], n: int):
-        """One bincount folds a window of pre-encoded codes into state.
-
-        The chunk was encoded at ingest (:meth:`_encode_chunk`), so the
-        window is already integer code arrays; the joint code uses the
-        tables' *current* sizes — safe even if another stream has since
-        grown a dimension, because categories only ever append and old
-        codes stay valid.
-        """
-        dims = self._dims
-        sizes = [len(self._categories[dim]) for dim in dims]
-        joint = codes[dims[0]]
-        n_cells = sizes[0]
-        for dim, size in zip(dims[1:], sizes[1:]):
-            joint = joint * size + codes[dim]
-            n_cells *= size
-        counts = np.bincount(joint, minlength=n_cells)
-        nonzero = np.flatnonzero(counts)
-        indices = np.unravel_index(nonzero, sizes)
-        columns = [
-            [self._categories[dim][code] for code in dim_codes.tolist()]
-            for dim, dim_codes in zip(dims, indices)
-        ]
-        items = list(zip(zip(*columns), counts[nonzero].tolist()))
-        folded = state.acc.ingest_counts(items)
-        if folded != n:
-            raise AuditError(
-                f"window fold lost rows: {folded} of {n} counted"
-            )
+    def _fold(self, state: StreamState, codes: dict[str, np.ndarray]):
+        """Count a window of codes against the tables' *current* categories
+        — valid even after another stream grew a table, since categories
+        only ever append."""
+        state.acc.ingest_codes(
+            [(self._tables[dim].categories, codes[dim]) for dim in self._dims]
+        )
 
     def _close_window(self, state: StreamState, size: int) -> _Pending:
         arrays = self._take(state, size)
@@ -606,7 +532,7 @@ class MonitorFleet:
         with tracer.span(
             "streaming.window", stream=state.name, index=index, rows=size
         ):
-            self._fold(state, arrays, size)
+            self._fold(state, arrays)
             delta = state.acc.diff(state.base)
             state.base.restore(state.acc.snapshot())
             gaps, violations, contrasts = self._evaluate(delta)

@@ -51,7 +51,8 @@ def dataset_fingerprint(dataset) -> str:
     }
     digest.update(json.dumps(layout, sort_keys=True).encode())
     for column in dataset.schema:
-        digest.update(np.ascontiguousarray(dataset.column(column.name)).tobytes())
+        # hash the array's buffer in place: ``tobytes()`` would copy it
+        digest.update(np.ascontiguousarray(dataset.column(column.name)).data)
     fingerprint = digest.hexdigest()
     try:
         setattr(dataset, _FINGERPRINT_ATTR, fingerprint)

@@ -51,12 +51,11 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.config import AuditConfig, ScanConfig
 from repro.core.criteria import UseCaseProfile
 from repro.core.serialize import report_to_dict
 from repro.data.io import load_dataset
+from repro.data.ooc import stream_chunks
 from repro.exceptions import (
     AdmissionError,
     AuditError,
@@ -783,11 +782,9 @@ class JobEngine:
             n_rows = dataset.n_rows
 
             def chunk_iter():
-                for low in range(0, n_rows, chunk_size):
+                pieces = stream_chunks(dataset, chunk_size)
+                for low, piece in zip(range(0, n_rows, chunk_size), pieces):
                     self._check_cancel(cancel, job.job_id)
-                    piece = dataset.take(
-                        np.arange(low, min(low + chunk_size, n_rows))
-                    )
                     if predictions is None:
                         yield piece
                     else:

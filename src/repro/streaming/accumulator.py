@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from repro.data.dataset import TabularDataset
+from repro.data.dataset import TabularDataset, _as_column_array
 from repro.data.schema import Column, ColumnKind, ColumnRole, Schema
 from repro.exceptions import AuditError, CheckpointError
+from repro.kernel.codes import CategoryTable, CodeTable, cache_put, encode
 from repro.observability.metrics import get_metrics
 from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
 
@@ -45,10 +47,9 @@ __all__ = ["AuditAccumulator"]
 #: accumulator state format version (bumped on layout changes)
 STATE_VERSION = 1
 
-
-def _scalar(value):
-    """Numpy scalar → plain Python (cell keys must hash and JSON-encode)."""
-    return value.item() if hasattr(value, "item") else value
+#: joint cell spaces up to this size are counted densely whatever the
+#: chunk length; larger ones are first narrowed to the chunk's categories
+_DENSE_CELLS = 1 << 20
 
 
 class AuditAccumulator:
@@ -98,6 +99,9 @@ class AuditAccumulator:
         if self.audits_labels and self.label is None:
             raise AuditError("a data audit (audits_labels) requires a label")
         self._cells: dict[tuple, int] = {}
+        #: append-only per-axis category tables :meth:`ingest` encodes
+        #: raw values against; a cache only — the cells are the state
+        self._tables = tuple(CategoryTable() for _dim in self._dims)
         self.n_rows = 0
         self.chunks_ingested = 0
 
@@ -164,27 +168,81 @@ class AuditAccumulator:
             columns.append(np.asarray(y_true))
         elif y_true is not None:
             raise AuditError("accumulator tracks no label column")
+        return self._ingest_columns(columns, predictions)
+
+    def ingest_dataset(self, chunk: TabularDataset, predictions=None) -> int:
+        """Ingest one :class:`~repro.data.dataset.TabularDataset` chunk.
+
+        Columns are pulled by the accumulator's configured names; for a
+        model audit ``predictions`` is the aligned binary array (or
+        ``None`` for a data audit).  A chunk that serves stored codes
+        (``stored_codes(name)``, as packed chunks do) is counted from
+        those codes: its values are never read or re-encoded.
+        """
+        stored = getattr(chunk, "stored_codes", lambda name: None)
+        names = [*self.protected, *filter(None, (self.strata, self.label))]
+        return self._ingest_columns(
+            [stored(name) or chunk.column(name) for name in names],
+            predictions,
+        )
+
+    def _ingest_columns(self, columns: list, predictions) -> int:
+        """Encode raw-value columns against the append-only category
+        tables and count the chunk through :meth:`ingest_codes`;
+        ``(categories, codes)`` pairs pass through as they are."""
         if self.audits_labels:
             if predictions is not None:
                 raise AuditError(
                     "a data audit evaluates the labels themselves; "
                     "do not pass predictions"
                 )
+        elif predictions is None:
+            raise AuditError("pass the predictions to audit")
         else:
-            if predictions is None:
-                raise AuditError("pass the predictions to audit")
             columns.append(np.asarray(predictions))
+        if any(np.ndim(column) != 1 for column in columns
+               if not isinstance(column, tuple)):
+            raise AuditError("chunk arrays must be 1-D and share one length")
+        with get_metrics().timer("streaming.chunk_ingest"):
+            return self.ingest_codes([
+                column if isinstance(column, tuple)
+                else (table.categories, table.encode(column))
+                for column, table in zip(columns, self._tables)
+            ])
 
-        n = len(columns[0])
-        for arr in columns:
+    def ingest_codes(self, columns) -> int:
+        """Count one chunk given in code space; returns the rows ingested.
+
+        The one counting entry.  ``columns`` holds one ``(categories,
+        codes)`` pair per :attr:`_dims` axis: ``codes`` is an int array
+        indexing the ``categories`` list, whose plain Python values
+        become the cell keys.  One ``bincount`` over the joint code
+        folds the chunk into the cells.
+        """
+        columns = [(cats, np.asarray(codes)) for cats, codes in columns]
+        if len(columns) != len(self._dims):
+            raise AuditError(
+                f"ingest_codes takes {len(self._dims)} (categories, codes) "
+                f"pairs, one per axis of {self._dims}; got {len(columns)}"
+            )
+        n = len(columns[0][1])
+        for cats, arr in columns:
             if arr.ndim != 1 or len(arr) != n:
-                raise AuditError(
-                    "chunk arrays must be 1-D and share one length"
-                )
+                raise AuditError("chunk arrays must be 1-D and share one length")
         if n == 0:
             return 0
-        with get_metrics().timer("streaming.chunk_ingest"):
-            self._count(columns, n)
+        for axis, (cats, arr) in enumerate(columns):
+            if arr.dtype.kind in "iu":
+                arr = arr.astype(np.int64, copy=False)
+            # one reduction bounds both ends: negatives wrap to huge
+            # unsigned values
+            if arr.dtype != np.int64 or arr.view(np.uint64).max() >= len(cats):
+                raise AuditError(
+                    f"codes must be integers in [0, {len(cats)}) indexing "
+                    "their categories"
+                )
+            columns[axis] = (cats, arr)
+        self._count(columns, n)
         self.n_rows += n
         self.chunks_ingested += 1
         metrics = get_metrics()
@@ -192,56 +250,37 @@ class AuditAccumulator:
         metrics.counter("streaming.rows_ingested").inc(n)
         return n
 
-    def ingest_dataset(self, chunk: TabularDataset, predictions=None) -> int:
-        """Ingest one :class:`~repro.data.dataset.TabularDataset` chunk.
-
-        Columns are pulled by the accumulator's configured names; for a
-        model audit ``predictions`` is the aligned binary array (or
-        ``None`` for a data audit).
-        """
-        return self.ingest(
-            y_true=(
-                chunk.column(self.label) if self.label is not None else None
-            ),
-            predictions=predictions,
-            protected={name: chunk.column(name) for name in self.protected},
-            strata=(
-                chunk.column(self.strata)
-                if self.strata is not None
-                else None
-            ),
-        )
-
-    def ingest_counts(self, items) -> int:
-        """Fold pre-aggregated ``(cell_key, count)`` pairs; returns rows.
-
-        The monitoring fleet's fast path: chunks are encoded once into
-        joint-contingency code space (:func:`repro.kernel.codes.encode`
-        over fleet-persistent category tables +
-        :func:`repro.kernel.contingency.combined_codes` + one bincount)
-        and the resulting sparse cells land here without any per-row
-        Python work.  Cell keys must be tuples of plain Python scalars
-        in this accumulator's :attr:`_dims` order — exactly what
-        :meth:`ingest` would have produced for the same rows, so counts
-        folded through either path are interchangeable.
-        """
-        total = 0
+    def _count(self, columns: list, n: int) -> None:
+        """One bincount over the chunk's joint code → cell increments."""
+        categories = [cats for cats, _codes in columns]
+        codes = [arr for _cats, arr in columns]
+        sizes = [len(cats) for cats in categories]
+        if math.prod(sizes) > max(n, _DENSE_CELLS):
+            # a chunk far sparser than its category space: re-code each
+            # axis over the categories this chunk uses, so the bincount
+            # stays O(chunk) — one bincount per axis, no sort
+            for axis, arr in enumerate(codes):
+                used = np.flatnonzero(np.bincount(arr, minlength=sizes[axis]))
+                recode = np.zeros(sizes[axis], dtype=np.int64)
+                recode[used] = np.arange(len(used))
+                codes[axis] = recode[arr]
+                categories[axis] = [categories[axis][c] for c in used.tolist()]
+                sizes[axis] = len(used)
+        joint = codes[0]
+        for arr, size in zip(codes[1:], sizes[1:]):
+            joint = joint * size + arr
+        counts = np.bincount(joint, minlength=math.prod(sizes))
+        nonzero = np.flatnonzero(counts)
+        values = [
+            [cats[code] for code in axis.tolist()]
+            for cats, axis in zip(categories, np.unravel_index(nonzero, sizes))
+        ]
         cells = self._cells
-        for key, count in items:
-            count = int(count)
-            if count < 0:
-                raise AuditError(
-                    f"cell {key!r} has negative count {count}"
-                )
-            if count:
-                cells[key] = cells.get(key, 0) + count
-                total += count
-        self.n_rows += total
-        self.chunks_ingested += 1
-        metrics = get_metrics()
-        metrics.counter("streaming.chunks_ingested").inc()
-        metrics.counter("streaming.rows_ingested").inc(total)
-        return total
+        for key, count in zip(zip(*values), counts[nonzero].tolist()):
+            cells[key] = cells.get(key, 0) + count
+
+    #: former name, kept for span hooks that wrap it (perfbench/layers.py)
+    ingest_counts = ingest_codes
 
     def copy(self) -> "AuditAccumulator":
         """An independent accumulator with identical counts.
@@ -275,26 +314,6 @@ class AuditAccumulator:
         self._cells = dict(cells)
         self.n_rows = n_rows
         self.chunks_ingested = chunks_ingested
-
-    def _count(self, columns: list[np.ndarray], n: int) -> None:
-        """One bincount over the chunk's joint codes → cell increments."""
-        uniques: list[np.ndarray] = []
-        code = np.zeros(n, dtype=np.int64)
-        for arr in columns:
-            u, inverse = np.unique(arr, return_inverse=True)
-            uniques.append(u)
-            code = code * len(u) + inverse
-        sizes = tuple(len(u) for u in uniques)
-        counts = np.bincount(code, minlength=int(np.prod(sizes)))
-        nonzero = np.flatnonzero(counts)
-        indices = np.unravel_index(nonzero, sizes)
-        cells = self._cells
-        for position, flat in enumerate(nonzero):
-            key = tuple(
-                _scalar(u[axis[position]])
-                for u, axis in zip(uniques, indices)
-            )
-            cells[key] = cells.get(key, 0) + int(counts[flat])
 
     # -- merge ---------------------------------------------------------------
 
@@ -421,9 +440,21 @@ class AuditAccumulator:
             label=payload.get("label"),
             audits_labels=payload.get("audits_labels", False),
         )
+        width = len(accumulator._dims)
         for key, count in payload["cells"]:
-            accumulator._cells[tuple(key)] = int(count)
+            if len(key) != width:
+                raise AuditError(f"cell {key!r} has {len(key)} parts, not {width}")
+            if int(count) < 0:
+                raise AuditError(f"cell {key!r} has negative count {count}")
+            if int(count):
+                accumulator._cells[tuple(key)] = int(count)
         accumulator.n_rows = int(payload["n_rows"])
+        total = sum(accumulator._cells.values())
+        if accumulator.n_rows != total:
+            raise AuditError(
+                f"accumulator state declares n_rows={accumulator.n_rows} "
+                f"but its cells count {total} rows"
+            )
         accumulator.chunks_ingested = int(payload.get("chunks_ingested", 0))
         return accumulator
 
@@ -480,61 +511,68 @@ class AuditAccumulator:
         (``None`` for a data audit, where the audit reads the labels).
         Every battery statistic of this reconstruction equals the
         statistic of the original concatenated stream.
+
+        No ``n_rows`` array is sorted or re-validated: each column is
+        validated and encoded over its per-cell values, then
+        ``np.repeat``-ed, and its :class:`~repro.kernel.CodeTable` (the
+        per-cell codes, repeated — field-identical to ``encode`` of the
+        column) is registered in the kernel identity cache.  Categories
+        come from the cells, so ``TabularDataset._trusted`` is safe.
         """
         if self.n_rows == 0:
             raise AuditError("accumulator is empty; ingest chunks first")
-        dims = self._dims
         cells = self._sorted_cells()
-        counts = np.asarray([count for _key, count in cells])
-        # one np.repeat per dimension over the per-cell value list — the
-        # reconstruction costs O(n_rows) array bytes, never O(n_rows)
-        # Python objects (a list-of-objects build is a ~10x memory
-        # amplification that breaks out-of-core finalisation).
-        columns = {
-            name: np.repeat(
-                np.asarray([key[axis] for key, _count in cells]), counts
-            )
-            for axis, name in enumerate(dims)
-        }
+        counts = np.fromiter(
+            (count for _key, count in cells), dtype=np.int64, count=len(cells)
+        )
 
-        def cell_values(name):
-            return [key[dims.index(name)] for key, _count in cells]
+        def cell_values(axis):
+            return [key[axis] for key, _count in cells]
 
+        roles = [(name, ColumnRole.PROTECTED) for name in self.protected]
+        if self.strata is not None:
+            roles.append((self.strata, ColumnRole.FEATURE))
         schema_columns = []
         data = {}
-        for name in self.protected:
-            categories = sorted(set(cell_values(name)), key=repr)
+        for axis, (name, role) in enumerate(roles):
             schema_columns.append(
                 Column(
                     name,
                     kind=ColumnKind.CATEGORICAL,
-                    role=ColumnRole.PROTECTED,
-                    categories=tuple(categories),
-                )
-            )
-            data[name] = columns[name]
-        if self.strata is not None:
-            schema_columns.append(
-                Column(
-                    self.strata,
-                    kind=ColumnKind.CATEGORICAL,
-                    role=ColumnRole.FEATURE,
+                    role=role,
                     categories=tuple(
-                        sorted(set(cell_values("__strata__")), key=repr)
+                        sorted(set(cell_values(axis)), key=repr)
                     ),
                 )
             )
-            data[self.strata] = columns["__strata__"]
         if self.label is not None:
             schema_columns.append(
                 Column(
                     self.label, kind=ColumnKind.BINARY, role=ColumnRole.LABEL
                 )
             )
-            data[self.label] = columns["__label__"]
-        dataset = TabularDataset(Schema(tuple(schema_columns)), data)
+        for axis, column in enumerate(schema_columns):
+            per_cell = _as_column_array(cell_values(axis), column)
+            table = encode(per_cell)
+            values = np.repeat(per_cell, counts)
+            values.setflags(write=False)
+            cache_put(
+                (values,),
+                ("codes", None),
+                CodeTable(
+                    table.categories,
+                    table.categories_array,
+                    np.repeat(table.codes, counts),
+                ),
+            )
+            data[column.name] = values
+        dataset = TabularDataset._trusted(
+            Schema(tuple(schema_columns)), data, int(counts.sum())
+        )
         predictions = (
-            None if self.audits_labels else columns["__prediction__"]
+            None
+            if self.audits_labels
+            else np.repeat(np.asarray(cell_values(-1)), counts)
         )
         return dataset, predictions
 

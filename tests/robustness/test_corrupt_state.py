@@ -107,6 +107,48 @@ class TestAccumulatorState:
         with pytest.raises(CheckpointError):
             AuditAccumulator.load(path)
 
+    def _rewrite(self, path, edit):
+        envelope = json.loads(path.read_text())
+        edit(envelope["payload"])
+        path.write_text(json.dumps(envelope))
+
+    def test_negative_cell_count(self, tmp_path, hiring):
+        # regression: loaded silently, then finalize died in np.repeat
+        path = self._state_file(tmp_path, hiring)
+
+        def edit(payload):
+            payload["cells"][0][1] = -payload["cells"][0][1]
+
+        self._rewrite(path, edit)
+        with pytest.raises(CheckpointError, match="negative count") as excinfo:
+            AuditAccumulator.load(path)
+        _assert_checkpoint_error(excinfo, path)
+
+    def test_cell_key_with_wrong_arity(self, tmp_path, hiring):
+        # regression: loaded silently, then finalize raised IndexError
+        path = self._state_file(tmp_path, hiring)
+
+        def edit(payload):
+            payload["cells"][0][0] = payload["cells"][0][0][:-1]
+
+        self._rewrite(path, edit)
+        with pytest.raises(CheckpointError, match="parts") as excinfo:
+            AuditAccumulator.load(path)
+        _assert_checkpoint_error(excinfo, path)
+
+    def test_row_total_disagreeing_with_cells(self, tmp_path, hiring):
+        # regression: n_rows=99 over cells summing to 3 loaded silently
+        # and audited 3 rows
+        path = self._state_file(tmp_path, hiring)
+
+        def edit(payload):
+            payload["n_rows"] += 1
+
+        self._rewrite(path, edit)
+        with pytest.raises(CheckpointError, match="n_rows") as excinfo:
+            AuditAccumulator.load(path)
+        _assert_checkpoint_error(excinfo, path)
+
 
 class TestScanResume:
     def test_wrong_layout_scan_checkpoint(self, tmp_path, hiring):
