@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="findings to print (most disparate first)")
     scan.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="write an atomic JSON checkpoint here "
-                      "periodically (anytime scan)")
+                      "periodically (anytime scan); an exhaustive scan "
+                      "keeps its findings in PATH.findings")
     scan.add_argument("--checkpoint-every", type=int, default=None,
                       help="scored subgroups between checkpoints "
                       "(default 64)")

@@ -86,8 +86,10 @@ class ScanConfig:
     correction:
         Multiple-testing correction: ``"holm"``, ``"bh"``, or ``"none"``.
     checkpoint_every:
-        Scored-subgroup cadence between checkpoint writes (must be
-        >= 1).
+        Scored subgroups between checkpoint writes of the exhaustive
+        ``audit_subgroups`` scan, and the scoring batch size of
+        ``scan_subgroups``, which checkpoints per ingest chunk instead
+        (must be >= 1).
     jobs:
         Worker processes for counting/scoring (>= 1).
     bound_slack:

@@ -10,6 +10,8 @@ suite keep every one of those guarantees honest.
 """
 
 from repro.robustness.checkpoint import (
+    AppendLog,
+    LoggedCheckpoint,
     atomic_write_text,
     load_checkpoint,
     save_checkpoint,
@@ -25,6 +27,8 @@ __all__ = [
     "StageRunner",
     "Fault",
     "FaultInjector",
+    "AppendLog",
+    "LoggedCheckpoint",
     "atomic_write_text",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,4 +1,4 @@
-"""Atomic JSON checkpoints for resumable long-running audits.
+"""Atomic JSON checkpoints and append-only record logs for resumable work.
 
 A checkpoint is a JSON file with a format version, a caller-supplied
 *fingerprint* of the run configuration, and an opaque payload.  Writes
@@ -8,10 +8,20 @@ Loads verify both the JSON and the fingerprint and raise
 :class:`~repro.exceptions.CheckpointError` — with path and byte offset
 when the file is corrupt — instead of letting a raw ``json`` error
 escape into an audit.
+
+Work whose saved state grows with its progress keeps the bulk in an
+:class:`AppendLog` — one JSON record per line, flushed and fsynced
+before the append returns, so a kill loses at most a torn final line —
+and the envelope small.  :class:`LoggedCheckpoint` pairs the two: each
+save appends only the records added since the last one, then atomically
+replaces an envelope naming how many records are committed and the
+sha256 of that log prefix.  The service's job journal is an
+:class:`AppendLog` too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -21,7 +31,10 @@ from repro.exceptions import CheckpointError
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "AppendLog",
+    "LoggedCheckpoint",
     "atomic_write_text",
+    "encode_record",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -79,7 +92,7 @@ def load_checkpoint(path, fingerprint: str | None = None) -> dict:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise CheckpointError(
             f"no checkpoint at {path}", path=path
@@ -87,6 +100,12 @@ def load_checkpoint(path, fingerprint: str | None = None) -> dict:
     except OSError as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path}: {exc}", path=path
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: not UTF-8 at byte offset "
+            f"{exc.start}",
+            path=path,
         ) from exc
     try:
         envelope = json.loads(text)
@@ -114,3 +133,193 @@ def load_checkpoint(path, fingerprint: str | None = None) -> dict:
             path=path,
         )
     return envelope["payload"]
+
+
+# ---------------------------------------------------------------------------
+# append-only record logs
+# ---------------------------------------------------------------------------
+
+
+def encode_record(record: dict) -> bytes:
+    """One log line: sorted-key JSON, UTF-8, newline-terminated."""
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _decode_record(line: bytes) -> dict:
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("log records must be JSON objects")
+    return record
+
+
+class AppendLog:
+    """Append-only JSON-lines file: durable appends, torn-tail-aware reads.
+
+    :meth:`append` flushes (and, with ``fsync``, syncs) before it
+    returns, so a ``kill -9`` loses at most the line being written.
+    That torn final line has no newline and :meth:`replay` drops it
+    unless it still parses; a malformed *complete* line raises
+    :class:`~repro.exceptions.CheckpointError` with the path and 1-based
+    line number.  Not thread-safe: callers that share a log lock it.
+    """
+
+    def __init__(self, path, *, fsync: bool = True):
+        self.path = Path(path)
+        self.fsync = fsync
+        self._handle = None
+
+    def append(self, records) -> bytes:
+        """Durably append ``records``, one line each; return the bytes."""
+        data = b"".join(encode_record(record) for record in records)
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "ab")
+        if data:
+            self._handle.write(data)
+            self._handle.flush()
+            if self.fsync:
+                os.fsync(self._handle.fileno())
+        return data
+
+    def lines(self) -> list[bytes]:
+        """Every line, newline kept; a torn final line has none.
+
+        Raises :class:`FileNotFoundError` when the log does not exist.
+        """
+        data = self.path.read_bytes()
+        lines = [line + b"\n" for line in data.split(b"\n")]
+        tail = lines.pop()[:-1]  # whatever follows the last newline
+        if tail:
+            lines.append(tail)
+        return lines
+
+    def replay(self) -> list[dict]:
+        """Parse every record, tolerating only a torn tail."""
+        if not self.path.exists():
+            return []
+        records: list[dict] = []
+        for number, line in enumerate(self.lines(), start=1):
+            try:
+                records.append(_decode_record(line))
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    break  # crash mid-append: the record never happened
+                raise CheckpointError(
+                    f"corrupt log {self.path} at line {number}: {exc}",
+                    path=self.path,
+                ) from exc
+        return records
+
+    def truncate(self, size: int) -> None:
+        """Cut the log to its first ``size`` bytes (creating it if absent)."""
+        self.close()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab") as handle:
+            handle.truncate(size)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+class LoggedCheckpoint:
+    """A progress envelope at ``path`` plus a record log at ``path + suffix``.
+
+    :meth:`save` appends the new records to the log, then atomically
+    replaces the envelope: the caller's payload plus ``log_records``
+    (records committed) and ``log_sha256`` (digest of that log prefix).
+    A save costs O(new records), and a kill between the two writes
+    leaves the old envelope naming a prefix that is still intact.
+
+    :meth:`resume` reads exactly ``log_records`` records back and cuts
+    whatever follows.  It raises :class:`~repro.exceptions.CheckpointError`
+    for a corrupt or foreign envelope, one without the log fields (such
+    as the older inline layout), a missing or short log, a corrupt
+    record inside the count, or a digest mismatch.
+    """
+
+    def __init__(self, path, fingerprint: str = "", *, suffix: str):
+        self.path = Path(path)
+        self.fingerprint = fingerprint
+        self.log = AppendLog(f"{self.path}{suffix}")
+        self.records = 0
+        self._digest = hashlib.sha256()
+
+    def start(self) -> None:
+        """Begin a fresh run: drop the old envelope, then empty the log."""
+        self.path.unlink(missing_ok=True)
+        self.log.truncate(0)
+        self.records = 0
+        self._digest = hashlib.sha256()
+
+    def resume(self) -> tuple[dict, list[dict]] | None:
+        """``(payload, committed records)``, or ``None`` with no envelope."""
+        if not self.path.exists():
+            return None
+        payload = load_checkpoint(self.path, self.fingerprint)
+        try:
+            count = int(payload["log_records"])
+            expected = str(payload["log_sha256"])
+            if count < 0:
+                raise ValueError(f"negative record count {count}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint {self.path} has the wrong layout: no valid "
+                f"log_records/log_sha256 ({type(exc).__name__}: {exc}); "
+                "a checkpoint from before the record log (or an edited "
+                "one) cannot be resumed — rerun without resume",
+                path=self.path,
+            ) from exc
+        try:
+            lines = self.log.lines()[:count]
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint {self.path} names {count} records but its "
+                f"log {self.log.path} is missing",
+                path=self.log.path,
+            ) from None
+        if len(lines) < count or (lines and not lines[-1].endswith(b"\n")):
+            raise CheckpointError(
+                f"short log {self.log.path}: checkpoint {self.path} names "
+                f"{count} records, the log holds {len(lines)}",
+                path=self.log.path,
+            )
+        records = []
+        digest = hashlib.sha256()
+        for number, line in enumerate(lines, start=1):
+            digest.update(line)
+            try:
+                records.append(_decode_record(line))
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"corrupt log {self.log.path} at line {number}: {exc}",
+                    path=self.log.path,
+                ) from exc
+        if digest.hexdigest() != expected:
+            raise CheckpointError(
+                f"log {self.log.path} does not match checkpoint "
+                f"{self.path}: the sha256 of its first {count} records "
+                "differs",
+                path=self.log.path,
+            )
+        self.log.truncate(sum(map(len, lines)))
+        self.records = count
+        self._digest = digest
+        return payload, records
+
+    def save(self, payload: dict, new_records) -> None:
+        """Append ``new_records`` durably, then commit ``payload``."""
+        new_records = list(new_records)
+        self._digest.update(self.log.append(new_records))
+        self.log.close()  # no handle outlives a save, even a killed scan's
+        self.records += len(new_records)
+        save_checkpoint(
+            self.path,
+            {
+                **payload,
+                "log_records": self.records,
+                "log_sha256": self._digest.hexdigest(),
+            },
+            fingerprint=self.fingerprint,
+        )

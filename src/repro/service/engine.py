@@ -83,6 +83,7 @@ from repro.service.store import (
 )
 from repro.streaming.stream import finalize, ingest_stream
 from repro.subgroup.auditor import (
+    FINDINGS_LOG_SUFFIX,
     _finding_to_payload,
     adjust_for_multiple_testing,
     audit_subgroups,
@@ -711,7 +712,9 @@ class JobEngine:
         # mid-run resume state only; ``.scanstate.json`` files are the
         # durable output of incremental scans and must survive the job
         # that wrote them — the next rescan over grown data starts there
-        for suffix in (".state.json", ".scan.json"):
+        for suffix in (
+            ".state.json", ".scan.json", f".scan.json{FINDINGS_LOG_SUFFIX}"
+        ):
             (self.checkpoint_dir / f"{job_id}{suffix}").unlink(missing_ok=True)
 
     @staticmethod

@@ -8,6 +8,9 @@ replay, exactly the failure a mid-write crash produces.  Corruption
 anywhere *else* is a different animal — it means the file was edited or
 the disk lied — and raises :class:`~repro.exceptions.CheckpointError`
 with the path and line number rather than silently skipping evidence.
+Those append and replay mechanics are
+:class:`~repro.robustness.checkpoint.AppendLog`'s, shared with the
+subgroup scanner's findings log.
 
 Rotation keeps the log bounded: the engine periodically compacts the
 event history into one ``snapshot`` event per live job and rewrites the
@@ -17,17 +20,19 @@ a crash during rotation leaves the previous complete journal intact.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from pathlib import Path
 
-from repro.exceptions import CheckpointError
-from repro.robustness.checkpoint import atomic_write_text
+from repro.robustness.checkpoint import (
+    AppendLog,
+    atomic_write_text,
+    encode_record,
+)
 
 __all__ = ["JOURNAL_VERSION", "JobJournal"]
 
 JOURNAL_VERSION = 1
+
+_HEADER = {"event": "journal", "version": JOURNAL_VERSION}
 
 
 class JobJournal:
@@ -46,40 +51,19 @@ class JobJournal:
     """
 
     def __init__(self, path, *, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
+        self._log = AppendLog(path, fsync=fsync)
+        self.path = self._log.path
         self._lock = threading.Lock()
-        self._handle = None
         self.entries_written = 0
 
     # -- writing -------------------------------------------------------------
 
-    def _open(self):
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists()
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._write_line({"event": "journal", "version": JOURNAL_VERSION})
-        return self._handle
-
-    def _write_line(self, event: dict) -> None:
-        line = json.dumps(event, sort_keys=True)
-        if "\n" in line:  # pragma: no cover — json never emits newlines
-            raise CheckpointError(
-                "journal events must serialise to one line", path=self.path
-            )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        self.entries_written += 1
-
     def append(self, event: dict) -> None:
         """Durably append one event (flushed + fsynced under the lock)."""
         with self._lock:
-            self._open()
-            self._write_line(event)
+            events = [event] if self.path.exists() else [_HEADER, event]
+            self._log.append(events)
+            self.entries_written += len(events)
 
     # -- replay --------------------------------------------------------------
 
@@ -91,52 +75,18 @@ class JobJournal:
         :class:`~repro.exceptions.CheckpointError` with the path and
         1-based line number.
         """
-        if not self.path.exists():
-            return []
-        text = self.path.read_text(encoding="utf-8")
-        if not text:
-            return []
-        complete = text.endswith("\n")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        events: list[dict] = []
-        for number, line in enumerate(lines, start=1):
-            torn_tail = number == len(lines) and not complete
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict):
-                    raise ValueError("journal lines must be JSON objects")
-            except ValueError as exc:
-                if torn_tail:
-                    break  # crash mid-append: the event never happened
-                raise CheckpointError(
-                    f"corrupt journal {self.path} at line {number}: {exc}",
-                    path=self.path,
-                ) from exc
-            events.append(event)
-        return events
+        return self._log.replay()
 
     # -- rotation ------------------------------------------------------------
 
     def rotate(self, events: list[dict]) -> None:
         """Atomically replace the journal with a compacted event list."""
         with self._lock:
-            lines = [
-                json.dumps(
-                    {"event": "journal", "version": JOURNAL_VERSION},
-                    sort_keys=True,
-                )
-            ]
-            lines.extend(json.dumps(event, sort_keys=True) for event in events)
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            atomic_write_text(self.path, "\n".join(lines) + "\n")
+            lines = [encode_record(event) for event in [_HEADER, *events]]
+            self._log.close()
+            atomic_write_text(self.path, b"".join(lines).decode("utf-8"))
             self.entries_written = len(lines)
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._log.close()

@@ -14,11 +14,18 @@ Two complementary strategies:
   wall at the cost of completeness.
 
 The exhaustive scan is *anytime*: pass ``checkpoint_path`` and it
-persists an atomic JSON checkpoint every ``checkpoint_every`` subgroups,
-so a killed enumeration resumed with ``resume=True`` picks up from its
-last frontier and produces the identical finding set as an uninterrupted
-run.  Checkpoints carry a fingerprint of the run configuration and are
-refused (``CheckpointError``) when data or parameters changed.
+checkpoints every ``checkpoint_every`` subgroups, so a killed
+enumeration resumed with ``resume=True`` picks up from its last
+frontier and produces the identical finding set as an uninterrupted
+run.  A save costs O(findings since the last save): the new findings
+are appended to ``<checkpoint_path>.findings`` (JSON lines, fsynced),
+then a small envelope holding the frontier, the record count and the
+log's sha256 atomically replaces the old one (see
+:class:`~repro.robustness.checkpoint.LoggedCheckpoint`).  Checkpoints
+carry a fingerprint of the run configuration and are refused
+(``CheckpointError``) when data or parameters changed, when the log is
+missing, short, corrupt or does not match the envelope's digest, and
+when the envelope has the older layout with every finding inline.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from repro.kernel import (
 from repro.kernel.shm import publish as shm_publish
 from repro.models.preprocessing import OneHotEncoder
 from repro.models.tree import DecisionTree
-from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
+from repro.robustness.checkpoint import LoggedCheckpoint
 from repro.stats.tests import two_proportion_z_test, wilson_interval
 from repro.subgroup.enumeration import Subgroup, enumerate_subgroups
 
@@ -148,6 +155,9 @@ def _finding_from_payload(payload: dict, dataset: TabularDataset) -> SubgroupFin
         p_value=float(payload["p_value"]),
     )
 
+
+#: the exhaustive scan's findings log sits next to its checkpoint
+FINDINGS_LOG_SUFFIX = ".findings"
 
 #: rows hashed/validated/counted per bounded-memory pass over a reader
 _READER_CHUNK_ROWS = 1 << 20
@@ -452,8 +462,9 @@ def audit_subgroups(
     Parameters
     ----------
     checkpoint_path:
-        When given, an atomic JSON checkpoint of the scan frontier is
-        written here every ``checkpoint_every`` subgroups, making the
+        When given, the scan frontier is checkpointed here every
+        ``checkpoint_every`` subgroups, with the findings so far in the
+        append-only log ``checkpoint_path + ".findings"``, making the
         scan *anytime* — a killed run loses at most one checkpoint
         interval of work.
     resume:
@@ -606,27 +617,31 @@ def audit_subgroups(
             min_size,
         )
 
+    total = len(subgroups)
     start = 0
     findings: list[SubgroupFinding] = []
-    if resume:
-        from pathlib import Path
-
+    checkpoint = None
+    if checkpoint_path is not None:
+        checkpoint = LoggedCheckpoint(
+            checkpoint_path, fingerprint, suffix=FINDINGS_LOG_SUFFIX
+        )
         # A missing checkpoint means nothing was saved yet: fresh scan.
         # A corrupt or foreign checkpoint raises — never mix runs.
-        payload = (
-            load_checkpoint(checkpoint_path, fingerprint)
-            if Path(checkpoint_path).exists()
-            else None
-        )
-        if payload is not None:
-            # A payload that passed the envelope + fingerprint checks can
-            # still be structurally wrong (hand-edited, wrong producer);
-            # surface that as a CheckpointError, not a raw KeyError.
+        restored = checkpoint.resume() if resume else None
+        if restored is None:
+            checkpoint.start()
+        else:
+            payload, records = restored
+            # A payload that passed the envelope, fingerprint and log
+            # digest checks can still be structurally wrong (hand-edited,
+            # wrong producer); surface that as a CheckpointError, not a
+            # raw KeyError.
             try:
                 start = int(payload["next_index"])
+                if not 0 <= start <= total:
+                    raise ValueError(f"next_index {start} outside [0, {total}]")
                 findings = [
-                    _finding_from_payload(entry, dataset)
-                    for entry in payload["findings"]
+                    _finding_from_payload(entry, dataset) for entry in records
                 ]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
@@ -635,7 +650,6 @@ def audit_subgroups(
                     path=checkpoint_path,
                 ) from exc
 
-    total = len(subgroups)
     use_kernel = get_backend() == "kernel"
     # Count pairs are derived up front only for the serial kernel scan;
     # the parallel path ships source manifests and lets workers count
@@ -661,21 +675,20 @@ def audit_subgroups(
     ) as scan_span:
 
         def write_checkpoint(evaluated: int) -> None:
-            if checkpoint_path is not None and (
+            if checkpoint is not None and (
                 evaluated % checkpoint_every == 0 or evaluated == total
             ):
                 with metrics.timer("subgroups.checkpoint_write"):
-                    save_checkpoint(
-                        checkpoint_path,
+                    checkpoint.save(
                         {
                             "next_index": evaluated,
                             "total": total,
                             "complete": evaluated == total,
-                            "findings": [
-                                _finding_to_payload(f) for f in findings
-                            ],
                         },
-                        fingerprint=fingerprint,
+                        map(
+                            _finding_to_payload,
+                            findings[checkpoint.records:],
+                        ),
                     )
                 scan_span.event("checkpoint", evaluated=evaluated, total=total)
 

@@ -31,6 +31,14 @@ API:
   proportional to the delta, and the result is byte-identical to a
   from-scratch scan of the grown dataset.
 
+Checkpoints
+-----------
+A mid-run checkpoint holds the joint-cell accumulator, written after
+each ingest chunk; the last (``rows_done == n_rows``) is the frozen
+count state scoring reads.  Scoring writes nothing, because a resumed
+scan reloads those counts and re-scores from them.  The completed scan
+overwrites the file with the canonical payload described below.
+
 Equivalence contract
 --------------------
 All strategies agree exactly: the same flagged set, identical p-values
@@ -569,19 +577,25 @@ def _ingest_range(
 
     Cell keys are *category codes* (ints), not values — compact,
     JSON-stable, and identical across in-memory and packed
-    representations of the same data.
+    representations of the same data.  The codes go straight to
+    :meth:`~repro.streaming.AuditAccumulator.ingest_codes`, each axis
+    over the categories ``range(radix)``; nothing is re-encoded.
     """
     readers, pred = _code_sources(dataset, attributes, pred_source)
+    categories = [
+        list(range(dataset.codes(attribute).n_categories))
+        for attribute in attributes
+    ]
     step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
     for start in range(lo, hi, step):
         end = min(start + step, hi)
-        accumulator.ingest(
-            protected={
-                name: reader(start, end)
-                for name, reader in zip(attributes, readers)
-            },
-            predictions=pred(start, end),
-        )
+        accumulator.ingest_codes([
+            *(
+                (cats, reader(start, end))
+                for cats, reader in zip(categories, readers)
+            ),
+            ([0, 1], pred(start, end)),
+        ])
         if on_chunk is not None:
             on_chunk(end)
 
@@ -691,7 +705,6 @@ def _score_and_correct(
     metrics,
     tracer,
     on_progress=None,
-    checkpoint=None,
     jobs: int = 1,
     executor_factory=None,
     subset_order: list[tuple[int, ...]] | None = None,
@@ -786,8 +799,6 @@ def _score_and_correct(
             evaluated += len(kept)
             metrics.counter("subgroups.evaluated").inc(len(kept))
             done = hi
-            if checkpoint is not None:
-                checkpoint(done, len(flat))
             if on_progress is not None:
                 on_progress(done, len(flat))
     finally:
@@ -914,10 +925,10 @@ def scan_subgroups(
 
     All strategies return the same flagged set and write byte-identical
     completed checkpoints (see the module docstring for the proof
-    obligations); ``checkpoint_path``/``resume`` give the scan the same
-    anytime property as :func:`repro.subgroup.audit_subgroups` — a
-    killed scan resumes from its last atomic checkpoint, skipping at
-    least the ingest already performed.
+    obligations).  With ``checkpoint_path`` the scan checkpoints its
+    counts after each ingest chunk and its canonical result at the
+    end; ``resume`` restarts from the last of those, skipping the
+    ingest already performed and re-scoring from the saved counts.
     """
     from repro.kernel import get_backend
     from repro.observability.metrics import get_metrics
@@ -1087,28 +1098,9 @@ def scan_subgroups(
             else list(by_subset)
         )
 
-        def score_checkpoint(done: int, total: int) -> None:
-            if checkpoint_path is not None and (
-                done % config.checkpoint_every == 0 or done == total
-            ) and done < total:
-                with metrics.timer("subgroups.checkpoint_write"):
-                    save_checkpoint(
-                        checkpoint_path,
-                        {
-                            "format": SCAN_FORMAT,
-                            "complete": False,
-                            "phase": "score",
-                            "scored": int(done),
-                            "accumulator": accumulator.to_dict(),
-                        },
-                        fingerprint=fingerprint,
-                    )
-                span.event("checkpoint", phase="score", scored=done)
-
         findings, flagged, stats = _score_and_correct(
             lattice, by_subset, config, positives_total, n_total,
             metrics=metrics, tracer=tracer, on_progress=on_progress,
-            checkpoint=score_checkpoint if checkpoint_path else None,
             jobs=jobs, executor_factory=executor_factory,
             subset_order=subset_order,
         )

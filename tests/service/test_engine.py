@@ -74,6 +74,22 @@ class TestExecution:
         assert result["n_subgroups"] == len(result["findings"]) > 0
         assert all("adjusted_p_value" in f for f in result["findings"])
 
+    def test_succeeded_subgroups_job_leaves_no_checkpoint_files(
+        self, make_engine, hiring_csv
+    ):
+        # the exhaustive scan checkpoints into an envelope plus a
+        # findings log; success must delete both
+        engine = make_engine()
+        job = engine.wait(
+            engine.submit(
+                "subgroups", {"data": hiring_csv, "checkpoint_every": 1},
+                config=AuditConfig(max_order=2, min_size=10),
+            ).job_id,
+            timeout=60,
+        )
+        assert job.status == "succeeded"
+        assert list(engine.checkpoint_dir.glob(f"{job.job_id}*")) == []
+
     def test_workflow_job(self, make_engine, hiring_csv):
         engine = make_engine()
         job = engine.wait(
