@@ -1,15 +1,15 @@
 """P1 — kernel: shared-counts battery and the parallel subgroup scanner.
 
-Two comparisons, both against the pre-kernel code kept verbatim behind
-the ``"reference"`` backend:
+Two comparisons against slow reference code:
 
 * the full audit battery on 80k rows through the joint-contingency
-  engine vs the original per-group masking loops (regression guard:
-  kernel ≥ 3× faster);
+  engine vs the original per-group masking loops kept verbatim behind
+  the ``"reference"`` backend (regression guard: kernel ≥ 3× faster);
 * the subgroup scan on 80k rows with 4 protected attributes (order ≤ 4,
   ~4k subgroups) serial vs ``jobs=4`` (regression guard: parallel ≥
-  1.5× faster, findings byte-identical), plus the reference-path scan
-  time for the trajectory.
+  1.5× faster, findings byte-identical), plus the time of the
+  per-subgroup reference scan (``tests/subgroup/reference_scan.py``),
+  whose findings must match too.
 
 Results land in ``BENCH_P1.json`` (uploaded by the CI benchmark job).
 """
@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from repro.core import FairnessAudit
+from repro.core.config import ScanConfig
 from repro.data import Column, Schema, TabularDataset, make_hiring
 from repro.kernel import use_backend
 from repro.subgroup import audit_subgroups
 
 from benchmarks.conftest import report, write_bench_json
+from tests.subgroup.reference_scan import reference_findings
 
 N_ROWS = 80_000
 BATTERY_REPEATS = 3
@@ -66,11 +68,21 @@ def _scan_dataset() -> TabularDataset:
     return TabularDataset(Schema(tuple(columns)), data)
 
 
-def _scan_seconds(data, predictions, jobs: int, backend: str = "kernel") -> tuple:
-    with use_backend(backend):
+def _scan_seconds(data, predictions, jobs: int) -> tuple:
+    start = time.perf_counter()
+    findings = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=4, min_size=50, jobs=jobs),
+    )
+    return time.perf_counter() - start, findings
+
+
+def _reference_scan_seconds(data, predictions) -> tuple:
+    """The per-subgroup mask-and-test oracle, timed for the trajectory."""
+    with use_backend("reference"):
         start = time.perf_counter()
-        findings = audit_subgroups(
-            predictions, data, max_order=4, min_size=50, jobs=jobs
+        findings = reference_findings(
+            predictions, data, max_order=4, min_size=50
         )
         return time.perf_counter() - start, findings
 
@@ -117,21 +129,21 @@ def test_p1_parallel_scan_speedup(benchmark):
     def experiment():
         serial_s, serial_findings = _scan_seconds(data, predictions, jobs=1)
         parallel_s, parallel_findings = _scan_seconds(data, predictions, jobs=4)
-        reference_s, reference_findings = _scan_seconds(
-            data, predictions, jobs=1, backend="reference"
+        reference_s, oracle_findings = _reference_scan_seconds(
+            data, predictions
         )
         return (serial_s, parallel_s, reference_s,
-                serial_findings, parallel_findings, reference_findings)
+                serial_findings, parallel_findings, oracle_findings)
 
     (serial_s, parallel_s, reference_s,
-     serial_findings, parallel_findings, reference_findings) = (
+     serial_findings, parallel_findings, oracle_findings) = (
         benchmark.pedantic(experiment, rounds=1, iterations=1)
     )
     speedup = serial_s / max(parallel_s, 1e-9)
     cores = len(os.sched_getaffinity(0))
     report("P1 subgroup scan on 80k rows (~4k subgroups)", [
         ("path", "seconds"),
-        ("reference serial (pre-kernel)", round(reference_s, 4)),
+        ("reference scan (per-subgroup masks)", round(reference_s, 4)),
         ("kernel serial", round(serial_s, 4)),
         ("kernel jobs=4", round(parallel_s, 4)),
         ("parallel speedup", round(speedup, 2)),
@@ -149,7 +161,7 @@ def test_p1_parallel_scan_speedup(benchmark):
     })
     # Byte-identical findings first — a fast wrong answer is no answer.
     assert _signature(parallel_findings) == _signature(serial_findings)
-    assert _signature(reference_findings) == _signature(serial_findings)
+    assert _signature(oracle_findings) == _signature(serial_findings)
     # Regression guard (ISSUE 3 acceptance): 4 jobs ≥ 1.5x serial.  Real
     # process parallelism needs real cores; on a machine with fewer than
     # 4 the guard is unmeetable by any implementation, so only the

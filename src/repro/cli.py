@@ -355,12 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--top", type=int, default=10,
                       help="findings to print (most disparate first)")
     scan.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="write an atomic JSON checkpoint here "
-                      "periodically (anytime scan); an exhaustive scan "
-                      "keeps its findings in PATH.findings")
+                      help="write an atomic JSON checkpoint here: the "
+                      "counts after each ingest chunk, then the result "
+                      "(anytime scan)")
     scan.add_argument("--checkpoint-every", type=int, default=None,
-                      help="scored subgroups between checkpoints "
-                      "(default 64)")
+                      help="subgroups per scoring batch (default 64)")
     scan.add_argument("--resume", action="store_true",
                       help="resume from --checkpoint after a killed run")
     scan.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -799,10 +798,6 @@ def _cmd_subgroups(args) -> int:
     import json as _json
 
     from repro.core.config import ScanConfig
-    from repro.subgroup.auditor import (
-        adjust_for_multiple_testing,
-        audit_subgroups,
-    )
     from repro.subgroup.search import scan_subgroups
 
     dataset = load_dataset(args.data, args.schema)
@@ -826,31 +821,18 @@ def _cmd_subgroups(args) -> int:
         if value is not None
     }
     scan = base.replace(**overrides) if overrides else base
-    if scan.strategy == "exhaustive":
-        findings = audit_subgroups(
-            dataset.labels(),
-            dataset,
-            attributes=args.attribute or None,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            scan_config=scan,
-        )
-        if scan.correction != "none":
-            findings = adjust_for_multiple_testing(
-                findings, method=scan.correction
-            )
-        stats = ""
-    else:
-        result = scan_subgroups(
-            dataset.labels(),
-            dataset,
-            attributes=args.attribute or None,
-            config=scan,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            state_path=args.state,
-        )
-        findings = result.findings
+    result = scan_subgroups(
+        dataset.labels(),
+        dataset,
+        attributes=args.attribute or None,
+        config=scan,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        state_path=args.state,
+    )
+    findings = result.findings
+    stats = ""
+    if scan.strategy != "exhaustive":
         stats = (f"; {scan.strategy}: {result.evaluated} scored, "
                  f"{result.pruned} pruned "
                  f"({result.pruned_fraction:.0%} of {result.total})")

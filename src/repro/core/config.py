@@ -86,10 +86,9 @@ class ScanConfig:
     correction:
         Multiple-testing correction: ``"holm"``, ``"bh"``, or ``"none"``.
     checkpoint_every:
-        Scored subgroups between checkpoint writes of the exhaustive
-        ``audit_subgroups`` scan, and the scoring batch size of
-        ``scan_subgroups``, which checkpoints per ingest chunk instead
-        (must be >= 1).
+        Subgroups per scoring batch (and per pool dispatch with
+        ``jobs > 1``); checkpoints are written per ingest chunk, not
+        per batch (must be >= 1).
     jobs:
         Worker processes for counting/scoring (>= 1).
     bound_slack:

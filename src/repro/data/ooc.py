@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,14 @@ def _npy_header(descr: str, n_rows: int) -> bytes:
     return _MAGIC + bytes((1, 0)) + len(body).to_bytes(2, "little") + body
 
 
+#: what numpy's ``.npy`` header parser raises on damaged bytes: the
+#: header dict is tokenized and literal-evaluated, so a flipped bit can
+#: surface as a tokenizer or syntax error, not only a ``ValueError``
+_GARBLED_HEADER = (
+    ValueError, OSError, KeyError, SyntaxError, tokenize.TokenError
+)
+
+
 def _read_npy_layout(path: Path) -> tuple[str, tuple, int]:
     """``(descr, shape, data_offset)`` from a ``.npy`` header.
 
@@ -123,7 +132,7 @@ def _read_npy_layout(path: Path) -> tuple[str, tuple, int]:
         raise DatasetError(f"packed column file is missing: {path}") from None
     except DatasetError:
         raise
-    except (ValueError, OSError, KeyError) as exc:
+    except _GARBLED_HEADER as exc:
         raise DatasetError(f"garbled .npy header in {path}: {exc}") from exc
     if fortran:
         raise DatasetError(f"packed column file {path} is fortran-ordered")
@@ -428,13 +437,18 @@ def is_packed(path) -> bool:
 def _load_sidecar(path: Path) -> dict:
     sidecar = path / PACK_SIDECAR
     try:
-        text = sidecar.read_text()
+        text = sidecar.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DatasetError(
             f"{path} is not a packed dataset: missing {PACK_SIDECAR}"
         ) from None
     except OSError as exc:
         raise DatasetError(f"cannot read packed sidecar {sidecar}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"corrupt packed sidecar {sidecar}: not UTF-8 at byte offset "
+            f"{exc.start}"
+        ) from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -677,7 +691,7 @@ class MemmapDataset(TabularDataset):
         meta = self._require(name)
         try:
             return np.load(meta["path"], mmap_mode="r")
-        except (ValueError, OSError) as exc:
+        except _GARBLED_HEADER as exc:
             raise DatasetError(
                 f"cannot memmap packed column file {meta['path']}: {exc}"
             ) from exc

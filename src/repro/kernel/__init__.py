@@ -11,9 +11,11 @@ allows").  It has three parts:
   ``np.bincount`` over combined (group × outcome × label) codes yields
   the confusion counts of every group at once, shared by all of the
   Section III metrics;
-* **parallel scan** (:mod:`repro.kernel.parallel`) — chunked scoring of
-  the subgroup enumeration for ``audit_subgroups(jobs=N)``, merged in
-  enumeration order so results stay byte-identical to serial.
+* **parallel scan** (:mod:`repro.kernel.parallel`) — the pool workers of
+  :func:`repro.subgroup.scan_subgroups` with ``jobs=N``: joint-cell
+  counting from shared sources (:mod:`repro.kernel.shm`) and chunked
+  scoring from count pairs, merged in order so results stay
+  byte-identical to serial.
 
 Everything is instrumented through the PR 2 metrics registry
 (``kernel.cache_hit`` / ``kernel.cache_miss`` counters, the
@@ -35,7 +37,6 @@ from repro.kernel.contingency import (
 from repro.kernel.parallel import (
     chunk_ranges,
     count_cells_chunk,
-    count_score_chunk,
     pruned_ranges,
     read_spills,
     score_chunk,
@@ -63,7 +64,6 @@ __all__ = [
     "score_counts",
     "score_chunk",
     "score_chunk_telemetry",
-    "count_score_chunk",
     "count_cells_chunk",
     "read_spills",
     "chunk_ranges",

@@ -1,18 +1,21 @@
-"""Parallel subgroup-scan scoring: pure count arithmetic, cheap to ship.
+"""Parallel subgroup-scan workers: cheap to ship, identical to serial.
 
-The subgroup scan is embarrassingly parallel once each subgroup is
-reduced to two integers (positives inside, members inside): workers
-need no arrays, just count tuples, so dispatch cost is a few bytes per
-subgroup.  Chunk boundaries are aligned to absolute multiples of the
-checkpoint interval, which makes the parallel scan's checkpoint cadence
-— and therefore every checkpoint file — byte-identical to the serial
-scan's.
+The subgroup scan (:func:`repro.subgroup.search.scan_subgroups`) runs
+two pool phases.  Ingest workers (:func:`count_cells_chunk`) attach to
+the column sources by name and return sparse joint-cell counts.
+Scoring is embarrassingly parallel once each subgroup is reduced to two
+integers (positives inside, members inside): scoring workers
+(:func:`score_chunk`, or :func:`score_chunk_telemetry` in a real
+process pool) receive count tuples only, so dispatch cost is a few
+bytes per subgroup.  Chunk boundaries are aligned to absolute multiples
+of the scoring batch (:func:`chunk_ranges`), so serial and parallel
+scans batch — and merge — identically.
 
-Since ISSUE 5 scoring is *batched*: :func:`score_chunk` hands its whole
-chunk of count pairs to :func:`repro.stats.batch.batch_score_counts`,
-which runs one vectorized z-test and one Wilson batch for the entire
-chunk instead of two scalar calls per subgroup — the payloads stay
-bit-identical to the per-subgroup scalar loop (the property suite in
+Scoring is *batched*: :func:`score_chunk` hands its whole chunk of
+count pairs to :func:`repro.stats.batch.batch_score_counts`, which runs
+one vectorized z-test and one Wilson batch for the entire chunk instead
+of two scalar calls per subgroup — the payloads stay bit-identical to
+the per-subgroup scalar loop (the property suite in
 ``tests/perf/test_batch_stats.py`` holds the equivalence).
 """
 
@@ -31,7 +34,6 @@ __all__ = [
     "score_counts",
     "score_chunk",
     "score_chunk_telemetry",
-    "count_score_chunk",
     "count_cells_chunk",
     "read_spills",
     "chunk_ranges",
@@ -151,21 +153,20 @@ def score_chunk_telemetry(
 
 # -- zero-copy counting workers (out-of-core data plane) ---------------------
 #
-# Since ISSUE 8 the parent no longer counts: workers receive *source
-# manifests* — ``{"kind": "shm", ...}`` naming a shared-memory segment
-# published by :mod:`repro.kernel.shm`, or ``{"kind": "npy", ...}``
-# locating a packed column file — and derive the count pairs themselves.
-# No column-sized array ever crosses the pickle boundary.
+# Ingest workers receive *source manifests* — ``{"kind": "shm", ...}``
+# naming a shared-memory segment published by :mod:`repro.kernel.shm`,
+# or ``{"kind": "npy", ...}`` locating a packed column file — and count
+# the rows themselves.  No column-sized array ever crosses the pickle
+# boundary.
 
-#: per-process source cache, keyed by the scan token: attached segments,
-#: their array views, and per-subset count tensors.  Reset whenever a
-#: different scan's token arrives, so a long-lived pool worker holds at
-#: most one scan's attachments.
+#: per-process source cache, keyed by the scan token: attached segments
+#: and their array views.  Reset whenever a different scan's token
+#: arrives, so a long-lived pool worker holds at most one scan's
+#: attachments.
 _WORKER_SOURCES: dict = {
     "token": None,
     "segments": {},
     "arrays": {},
-    "counts": {},
 }
 
 
@@ -175,14 +176,13 @@ def _reset_worker_sources() -> None:
             segment.close()
         except OSError:  # pragma: no cover — mapping already gone
             pass
-    _WORKER_SOURCES.update(token=None, segments={}, arrays={}, counts={})
+    _WORKER_SOURCES.update(token=None, segments={}, arrays={})
 
 
-def _ensure_token(token: str) -> dict:
+def _ensure_token(token: str) -> None:
     if _WORKER_SOURCES["token"] != token:
         _reset_worker_sources()
         _WORKER_SOURCES["token"] = token
-    return _WORKER_SOURCES
 
 
 def _read_int64(manifest: dict, lo: int, hi: int, fresh: bool) -> np.ndarray:
@@ -217,71 +217,6 @@ def _read_int64(manifest: dict, lo: int, hi: int, fresh: bool) -> np.ndarray:
             f"got {len(chunk)}"
         )
     return chunk if chunk.dtype == np.int64 else chunk.astype(np.int64)
-
-
-def _subset_cell_counts(sources: dict, subset_idx: int) -> np.ndarray:
-    """``(n_cells, 2)`` joint counts for one attribute subset, cached.
-
-    Chunked row-major fold of the subset's code sources against the
-    prediction source — integer bincount accumulation, so the result is
-    bit-identical to a one-shot :func:`repro.kernel.contingency.
-    joint_counts` over the whole column.
-    """
-    state = _ensure_token(sources["token"])
-    cached = state["counts"].get(subset_idx)
-    if cached is not None:
-        return cached
-    subset = sources["subsets"][subset_idx]
-    manifests = subset["columns"]
-    n_categories = subset["n_categories"]
-    n_cells = 1
-    for n in n_categories:
-        n_cells *= n
-    n_rows = sources["n_rows"]
-    step = sources["chunk_rows"]
-    totals = np.zeros(n_cells * 2, dtype=np.int64)
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        combined = _read_int64(manifests[0], lo, hi, fresh=True)
-        for manifest, n_cats in zip(manifests[1:], n_categories[1:]):
-            combined *= n_cats
-            combined += _read_int64(manifest, lo, hi, fresh=False)
-        combined *= 2
-        combined += _read_int64(sources["predictions"], lo, hi, fresh=False)
-        totals += np.bincount(combined, minlength=n_cells * 2)
-    counts = totals.reshape(n_cells, 2)
-    state["counts"][subset_idx] = counts
-    return counts
-
-
-def count_score_chunk(
-    sources: dict,
-    items: list[tuple[int, int, int]],
-    positives_total: int,
-    n_total: int,
-    spill: dict | None = None,
-) -> list[dict | None]:
-    """Derive count pairs from shared sources, then score the chunk.
-
-    ``sources`` carries the scan ``token``, ``n_rows``, ``chunk_rows``,
-    a ``predictions`` manifest, and per-subset column manifests;
-    ``items`` is the chunk's ``(subset_idx, cell, size)`` triples.  The
-    per-subset count tensors are computed once per worker process and
-    reused across chunks of the same scan, so each worker reads every
-    source row at most once however many chunks it scores.
-
-    With ``spill`` the scoring runs through
-    :func:`score_chunk_telemetry`, preserving the frozen telemetry
-    contract (``subgroups.score_chunk`` spans, chunk/entry counters,
-    spill file format) byte-for-byte.
-    """
-    entries = [
-        (int(_subset_cell_counts(sources, subset_idx)[cell, 1]), size)
-        for subset_idx, cell, size in items
-    ]
-    if spill is None:
-        return score_chunk(entries, positives_total, n_total)
-    return score_chunk_telemetry(entries, positives_total, n_total, spill)
 
 
 def count_cells_chunk(
@@ -364,8 +299,8 @@ def read_spills(spill_dir) -> list[dict]:
 def chunk_ranges(start: int, total: int, chunk: int) -> list[tuple[int, int]]:
     """Half-open index ranges covering [start, total), aligned so every
     boundary (except possibly ``start``) is an absolute multiple of
-    ``chunk`` — the alignment that keeps parallel checkpoints identical
-    to serial ones."""
+    ``chunk`` — the alignment that keeps parallel batches identical to
+    serial ones."""
     ranges = []
     index = start
     while index < total:
@@ -380,10 +315,9 @@ def pruned_ranges(
 ) -> list[tuple[int, int]]:
     """:func:`chunk_ranges` minus the ranges with nothing left to score.
 
-    The bound-aware scheduler of the pruned scan: boundaries stay on the
-    same absolute multiples of ``chunk`` as the exhaustive scan's (so
-    checkpoint cadence — and checkpoint bytes — are unchanged), but a
-    range whose every subgroup was pruned is never dispatched, so with
+    The bound-aware scheduler of the scan: boundaries stay on the same
+    absolute multiples of ``chunk`` whatever was pruned, but a range
+    whose every subgroup was pruned is never dispatched, so with
     ``jobs=N`` the workers only ever receive chunks that contain live
     work.
     """

@@ -1,14 +1,13 @@
 """Shared-memory publication of kernel arrays for zero-copy workers.
 
-``audit_subgroups(jobs=N)`` used to pickle nothing but count tuples to
-its pool workers — cheap, but it forced the *parent* to do all the
-counting.  The out-of-core data plane moves counting into the workers,
-which means they need the code arrays and the prediction vector.  Those
-must not cross the pickle boundary (an N-row array per chunk per worker
-is exactly the copy storm this layer exists to avoid), so the parent
-*publishes* each array once into a POSIX shared-memory segment and
-ships only a tiny manifest (``{"kind": "shm", "name": ..., "dtype":
-..., "shape": ...}``); workers attach by name and read the same pages.
+A parallel subgroup scan (``scan_subgroups`` with ``jobs=N``) counts
+rows in its pool workers, which means they need the code arrays and the
+prediction vector.  Those must not cross the pickle boundary (an N-row
+array per chunk per worker is exactly the copy storm this layer exists
+to avoid), so the parent *publishes* each array once into a POSIX
+shared-memory segment and ships only a tiny manifest (``{"kind":
+"shm", "name": ..., "dtype": ..., "shape": ...}``); workers attach by
+name and read the same pages.
 
 Lifecycle rules (the no-``/dev/shm``-leak contract):
 

@@ -11,7 +11,6 @@ suite keep every one of those guarantees honest.
 
 from repro.robustness.checkpoint import (
     AppendLog,
-    LoggedCheckpoint,
     atomic_write_text,
     load_checkpoint,
     save_checkpoint,
@@ -28,7 +27,6 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "AppendLog",
-    "LoggedCheckpoint",
     "atomic_write_text",
     "save_checkpoint",
     "load_checkpoint",

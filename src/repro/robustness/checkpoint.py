@@ -9,19 +9,14 @@ Loads verify both the JSON and the fingerprint and raise
 when the file is corrupt — instead of letting a raw ``json`` error
 escape into an audit.
 
-Work whose saved state grows with its progress keeps the bulk in an
-:class:`AppendLog` — one JSON record per line, flushed and fsynced
-before the append returns, so a kill loses at most a torn final line —
-and the envelope small.  :class:`LoggedCheckpoint` pairs the two: each
-save appends only the records added since the last one, then atomically
-replaces an envelope naming how many records are committed and the
-sha256 of that log prefix.  The service's job journal is an
-:class:`AppendLog` too.
+Records that accumulate over a run go to an :class:`AppendLog` instead
+— one JSON record per line, flushed and fsynced before the append
+returns, so a kill loses at most a torn final line.  The service's job
+journal is one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -32,7 +27,6 @@ from repro.exceptions import CheckpointError
 __all__ = [
     "CHECKPOINT_VERSION",
     "AppendLog",
-    "LoggedCheckpoint",
     "atomic_write_text",
     "encode_record",
     "save_checkpoint",
@@ -210,116 +204,7 @@ class AppendLog:
                 ) from exc
         return records
 
-    def truncate(self, size: int) -> None:
-        """Cut the log to its first ``size`` bytes (creating it if absent)."""
-        self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            handle.truncate(size)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class LoggedCheckpoint:
-    """A progress envelope at ``path`` plus a record log at ``path + suffix``.
-
-    :meth:`save` appends the new records to the log, then atomically
-    replaces the envelope: the caller's payload plus ``log_records``
-    (records committed) and ``log_sha256`` (digest of that log prefix).
-    A save costs O(new records), and a kill between the two writes
-    leaves the old envelope naming a prefix that is still intact.
-
-    :meth:`resume` reads exactly ``log_records`` records back and cuts
-    whatever follows.  It raises :class:`~repro.exceptions.CheckpointError`
-    for a corrupt or foreign envelope, one without the log fields (such
-    as the older inline layout), a missing or short log, a corrupt
-    record inside the count, or a digest mismatch.
-    """
-
-    def __init__(self, path, fingerprint: str = "", *, suffix: str):
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self.log = AppendLog(f"{self.path}{suffix}")
-        self.records = 0
-        self._digest = hashlib.sha256()
-
-    def start(self) -> None:
-        """Begin a fresh run: drop the old envelope, then empty the log."""
-        self.path.unlink(missing_ok=True)
-        self.log.truncate(0)
-        self.records = 0
-        self._digest = hashlib.sha256()
-
-    def resume(self) -> tuple[dict, list[dict]] | None:
-        """``(payload, committed records)``, or ``None`` with no envelope."""
-        if not self.path.exists():
-            return None
-        payload = load_checkpoint(self.path, self.fingerprint)
-        try:
-            count = int(payload["log_records"])
-            expected = str(payload["log_sha256"])
-            if count < 0:
-                raise ValueError(f"negative record count {count}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint {self.path} has the wrong layout: no valid "
-                f"log_records/log_sha256 ({type(exc).__name__}: {exc}); "
-                "a checkpoint from before the record log (or an edited "
-                "one) cannot be resumed — rerun without resume",
-                path=self.path,
-            ) from exc
-        try:
-            lines = self.log.lines()[:count]
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"checkpoint {self.path} names {count} records but its "
-                f"log {self.log.path} is missing",
-                path=self.log.path,
-            ) from None
-        if len(lines) < count or (lines and not lines[-1].endswith(b"\n")):
-            raise CheckpointError(
-                f"short log {self.log.path}: checkpoint {self.path} names "
-                f"{count} records, the log holds {len(lines)}",
-                path=self.log.path,
-            )
-        records = []
-        digest = hashlib.sha256()
-        for number, line in enumerate(lines, start=1):
-            digest.update(line)
-            try:
-                records.append(_decode_record(line))
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"corrupt log {self.log.path} at line {number}: {exc}",
-                    path=self.log.path,
-                ) from exc
-        if digest.hexdigest() != expected:
-            raise CheckpointError(
-                f"log {self.log.path} does not match checkpoint "
-                f"{self.path}: the sha256 of its first {count} records "
-                "differs",
-                path=self.log.path,
-            )
-        self.log.truncate(sum(map(len, lines)))
-        self.records = count
-        self._digest = digest
-        return payload, records
-
-    def save(self, payload: dict, new_records) -> None:
-        """Append ``new_records`` durably, then commit ``payload``."""
-        new_records = list(new_records)
-        self._digest.update(self.log.append(new_records))
-        self.log.close()  # no handle outlives a save, even a killed scan's
-        self.records += len(new_records)
-        save_checkpoint(
-            self.path,
-            {
-                **payload,
-                "log_records": self.records,
-                "log_sha256": self._digest.hexdigest(),
-            },
-            fingerprint=self.fingerprint,
-        )

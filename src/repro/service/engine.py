@@ -82,12 +82,7 @@ from repro.service.store import (
     file_fingerprint,
 )
 from repro.streaming.stream import finalize, ingest_stream
-from repro.subgroup.auditor import (
-    FINDINGS_LOG_SUFFIX,
-    _finding_to_payload,
-    adjust_for_multiple_testing,
-    audit_subgroups,
-)
+from repro.subgroup.auditor import _finding_to_payload
 from repro.subgroup.search import scan_subgroups
 from repro.workflow import _dataclass_from_dict, run_compliance_workflow
 
@@ -712,9 +707,7 @@ class JobEngine:
         # mid-run resume state only; ``.scanstate.json`` files are the
         # durable output of incremental scans and must survive the job
         # that wrote them — the next rescan over grown data starts there
-        for suffix in (
-            ".state.json", ".scan.json", f".scan.json{FINDINGS_LOG_SUFFIX}"
-        ):
+        for suffix in (".state.json", ".scan.json"):
             (self.checkpoint_dir / f"{job_id}{suffix}").unlink(missing_ok=True)
 
     @staticmethod
@@ -827,102 +820,77 @@ class JobEngine:
             # GET /metrics actually serves
             scan_kwargs["metrics"] = self.metrics
         scan_payload = job.params.get("scan_config")
-        if scan_payload is not None or config.scan is not None:
+        legacy = scan_payload is None and config.scan is None
+        if legacy:
+            # the default path: the exhaustive scan over the config's
+            # loose knobs, its payload byte-identical to the payloads
+            # written before ScanConfig existed
+            adjust = job.params.get("adjust", config.correction)
+            scan = ScanConfig.from_audit(config).replace(
+                checkpoint_every=int(job.params.get("checkpoint_every", 64)),
+                correction=adjust or "none",
+            )
+        else:
             scan = (
                 ScanConfig.from_dict(dict(scan_payload))
                 if scan_payload is not None
                 else config.scan
             )
-            adjust = job.params.get("adjust")
-            if adjust is not None:
-                # one semantic for both code paths: the job-level
+            if job.params.get("adjust") is not None:
+                # one semantic for both payload shapes: the job-level
                 # correction override also governs a ScanConfig scan
-                scan = scan.replace(correction=adjust)
-            state_path = None
-            if scan.strategy == "incremental":
-                state_path = self._scan_state_path(job)
-                # journal the durable state location before the scan so
-                # a kill -9 recovery knows where the delta re-score left
-                # its per-subgroup counts and scores
-                self.journal.append(
-                    {
-                        "event": "scan_state",
-                        "job_id": job.job_id,
-                        "path": str(state_path),
-                        "ts": time.time(),
-                    }
-                )
-            result = scan_subgroups(
-                dataset.labels(),
-                dataset,
-                attributes=list(attributes) if attributes else None,
-                config=scan,
-                checkpoint_path=str(checkpoint),
-                resume=checkpoint.exists(),
-                state_path=str(state_path) if state_path else None,
-                on_progress=progress,
-                **scan_kwargs,
+                scan = scan.replace(correction=job.params["adjust"])
+            adjust = scan.correction
+        state_path = None
+        if scan.strategy == "incremental":
+            state_path = self._scan_state_path(job)
+            # journal the durable state location before the scan so
+            # a kill -9 recovery knows where the delta re-score left
+            # its per-subgroup counts and scores
+            self.journal.append(
+                {
+                    "event": "scan_state",
+                    "job_id": job.job_id,
+                    "path": str(state_path),
+                    "ts": time.time(),
+                }
             )
-            payload = {
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "kind": "subgroups",
-                "degraded": False,
-                "alpha": scan.alpha,
-                "adjust": scan.correction,
-                "strategy": scan.strategy,
-                "scan": result.summary(),
-                "state_path": str(state_path) if state_path else None,
-                "n_subgroups": len(result.findings),
-                "n_significant": len(result.flagged),
-                "findings": [
-                    {
-                        **_finding_to_payload(finding),
-                        "adjusted_p_value": finding.adjusted_p_value,
-                        "significant": finding.significant(scan.alpha),
-                    }
-                    for finding in result.findings
-                ],
-            }
-            return payload, False
-        # legacy path: byte-identical to pre-ScanConfig payloads; the
-        # exhaustive ScanConfig below only bundles the loose knobs so the
-        # call avoids the deprecated individual keywords
-        exhaustive = ScanConfig.from_audit(config).replace(
-            checkpoint_every=int(job.params.get("checkpoint_every", 64)),
-        )
-        findings = audit_subgroups(
+        result = scan_subgroups(
             dataset.labels(),
             dataset,
             attributes=list(attributes) if attributes else None,
+            config=scan,
             checkpoint_path=str(checkpoint),
             resume=checkpoint.exists(),
+            state_path=str(state_path) if state_path else None,
             on_progress=progress,
-            config=config,
-            scan_config=exhaustive,
             **scan_kwargs,
         )
-        adjust = job.params.get("adjust", config.correction)
-        if adjust and adjust != "none":
-            findings = adjust_for_multiple_testing(findings, method=adjust)
         payload = {
             "schema_version": RESULT_SCHEMA_VERSION,
             "kind": "subgroups",
             "degraded": False,
-            "alpha": config.alpha,
+            "alpha": scan.alpha,
             "adjust": adjust,
-            "n_subgroups": len(findings),
-            "n_significant": sum(
-                1 for f in findings if f.significant(config.alpha)
-            ),
-            "findings": [
+        }
+        if not legacy:
+            payload.update(
+                strategy=scan.strategy,
+                scan=result.summary(),
+                state_path=str(state_path) if state_path else None,
+            )
+        payload.update(
+            n_subgroups=len(result.findings),
+            n_significant=len(result.flagged),
+            findings=[
                 {
                     **_finding_to_payload(finding),
                     "adjusted_p_value": finding.adjusted_p_value,
-                    "significant": finding.significant(config.alpha),
+                    "significant": finding.significant(scan.alpha),
                 }
-                for finding in findings
+                for finding in result.findings
             ],
-        }
+        )
         return payload, False
 
     def _run_workflow(self, job, dataset, config):

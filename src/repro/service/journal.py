@@ -9,8 +9,7 @@ anywhere *else* is a different animal — it means the file was edited or
 the disk lied — and raises :class:`~repro.exceptions.CheckpointError`
 with the path and line number rather than silently skipping evidence.
 Those append and replay mechanics are
-:class:`~repro.robustness.checkpoint.AppendLog`'s, shared with the
-subgroup scanner's findings log.
+:class:`~repro.robustness.checkpoint.AppendLog`'s.
 
 Rotation keeps the log bounded: the engine periodically compacts the
 event history into one ``snapshot`` event per live job and rewrites the

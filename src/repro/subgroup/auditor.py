@@ -13,26 +13,16 @@ Two complementary strategies:
   leaves as candidate subgroups.  Scales past the exponential enumeration
   wall at the cost of completeness.
 
-The exhaustive scan is *anytime*: pass ``checkpoint_path`` and it
-checkpoints every ``checkpoint_every`` subgroups, so a killed
-enumeration resumed with ``resume=True`` picks up from its last
-frontier and produces the identical finding set as an uninterrupted
-run.  A save costs O(findings since the last save): the new findings
-are appended to ``<checkpoint_path>.findings`` (JSON lines, fsynced),
-then a small envelope holding the frontier, the record count and the
-log's sha256 atomically replaces the old one (see
-:class:`~repro.robustness.checkpoint.LoggedCheckpoint`).  Checkpoints
-carry a fingerprint of the run configuration and are refused
-(``CheckpointError``) when data or parameters changed, when the log is
-missing, short, corrupt or does not match the envelope's digest, and
-when the envelope has the older layout with every finding inline.
+:func:`audit_subgroups` is the keyword-compatible front of the one scan
+engine, :func:`repro.subgroup.search.scan_subgroups`: counting, scoring,
+parallel dispatch, checkpoints and resume all happen there, so the
+exhaustive scan is *anytime* in the same way as the pruned one (a
+killed run resumed with ``resume=True`` re-scores from the saved counts
+and returns the identical findings).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +34,12 @@ from repro._validation import (
 )
 from repro.core.config import AuditConfig
 from repro.data.dataset import TabularDataset
-from repro.exceptions import AuditError, CheckpointError
-from repro.kernel import (
-    chunk_ranges,
-    combined_codes,
-    count_score_chunk,
-    get_backend,
-    joint_counts,
-    read_spills,
-    score_chunk,
-)
-from repro.kernel.shm import publish as shm_publish
+from repro.exceptions import AuditError
+from repro.kernel import get_backend
 from repro.models.preprocessing import OneHotEncoder
 from repro.models.tree import DecisionTree
-from repro.robustness.checkpoint import LoggedCheckpoint
 from repro.stats.tests import two_proportion_z_test, wilson_interval
-from repro.subgroup.enumeration import Subgroup, enumerate_subgroups
+from repro.subgroup.enumeration import Subgroup
 
 __all__ = [
     "SubgroupFinding",
@@ -127,259 +107,6 @@ def _finding_to_payload(finding: SubgroupFinding) -> dict:
         "ci_high": finding.ci_high,
         "p_value": finding.p_value,
     }
-
-
-def _finding_from_payload(payload: dict, dataset: TabularDataset) -> SubgroupFinding:
-    conditions = tuple(
-        (attribute, value) for attribute, value in payload["conditions"]
-    )
-
-    def build_mask(conditions=conditions, dataset=dataset) -> np.ndarray:
-        masks = [
-            dataset.codes(attribute).mask(value)
-            for attribute, value in conditions
-        ]
-        return masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
-
-    return SubgroupFinding(
-        subgroup=Subgroup(
-            conditions=conditions,
-            size=int(payload["size"]),
-            mask_factory=build_mask,
-        ),
-        rate=float(payload["rate"]),
-        complement_rate=float(payload["complement_rate"]),
-        gap=float(payload["gap"]),
-        ci_low=float(payload["ci_low"]),
-        ci_high=float(payload["ci_high"]),
-        p_value=float(payload["p_value"]),
-    )
-
-
-#: the exhaustive scan's findings log sits next to its checkpoint
-FINDINGS_LOG_SUFFIX = ".findings"
-
-#: rows hashed/validated/counted per bounded-memory pass over a reader
-_READER_CHUNK_ROWS = 1 << 20
-
-
-def _hash_source(digest, source) -> None:
-    """Feed a column source — array or bounded reader — into a digest.
-
-    Chunked sha256 updates produce the same hex digest as one whole-array
-    update, so packed and in-memory scans of identical content agree.
-    """
-    if isinstance(source, np.ndarray):
-        digest.update(np.ascontiguousarray(source).tobytes())
-        return
-    for lo in range(0, source.n_rows, _READER_CHUNK_ROWS):
-        chunk = source.read(lo, min(lo + _READER_CHUNK_ROWS, source.n_rows))
-        digest.update(np.ascontiguousarray(chunk).tobytes())
-
-
-def _scan_fingerprint(
-    pred_source,
-    dataset: TabularDataset,
-    attributes: list[str],
-    max_order: int,
-    min_size: int,
-) -> str:
-    """Hash of everything that determines the scan's enumeration order
-    and results — a checkpoint from a different run must not resume.
-
-    ``pred_source`` may be the prediction array or, for packed datasets,
-    a bounded column reader; either way the bytes (and so the digest)
-    match, keeping checkpoints resumable across representations.
-    """
-    digest = hashlib.sha256()
-    digest.update(
-        json.dumps(
-            {
-                "n_rows": dataset.n_rows,
-                "attributes": list(attributes),
-                "max_order": max_order,
-                "min_size": min_size,
-            },
-            sort_keys=True,
-        ).encode()
-    )
-    _hash_source(digest, pred_source)
-    open_column = getattr(dataset, "open_column", None)
-    for attribute in attributes:
-        if open_column is not None:
-            _hash_source(digest, open_column(attribute))
-        else:
-            digest.update(np.asarray(dataset.column(attribute)).tobytes())
-    return digest.hexdigest()
-
-
-def _validate_binary_reader(reader, name: str = "predictions") -> int:
-    """Chunked 0/1 validation of a packed column; returns the positive count.
-
-    The bounded-memory stand-in for :func:`check_binary_array`: same
-    rejections, but never materialises the column or full-size
-    temporaries.
-    """
-    from repro.exceptions import ValidationError
-
-    if reader.dtype.kind not in "iub":
-        raise ValidationError(
-            f"{name} must be an integer/boolean array, got dtype {reader.dtype}"
-        )
-    positives = 0
-    for lo in range(0, reader.n_rows, _READER_CHUNK_ROWS):
-        chunk = reader.read(lo, min(lo + _READER_CHUNK_ROWS, reader.n_rows))
-        bad = (chunk != 0) & (chunk != 1)
-        if bad.any():
-            raise ValidationError(
-                f"{name} must contain only 0/1 values, found "
-                f"{np.unique(chunk[bad]).tolist()[:5]}"
-            )
-        positives += int(chunk.sum())
-    return positives
-
-
-def _inside_counts(
-    predictions: np.ndarray,
-    dataset: TabularDataset,
-    subgroups: list[Subgroup],
-) -> list[tuple[int, int]]:
-    """(positives_inside, n_inside) per subgroup from joint contingencies.
-
-    One ``np.bincount`` per attribute subset covers every subgroup of
-    that subset, so the whole enumeration is counted in O(n · subsets)
-    instead of O(n · subgroups).
-    """
-    by_subset: dict = {}
-    entries: list[tuple[int, int]] = []
-    for subgroup in subgroups:
-        attrs = tuple(attribute for attribute, _ in subgroup.conditions)
-        cached = by_subset.get(attrs)
-        if cached is None:
-            tables = [dataset.codes(attribute) for attribute in attrs]
-            codes, n_cells = combined_codes(tables)
-            cached = (tables, joint_counts(codes, n_cells, predictions))
-            by_subset[attrs] = cached
-        tables, counts = cached
-        cell = 0
-        for table, (_, value) in zip(tables, subgroup.conditions):
-            cell = cell * table.n_categories + table.index[value]
-        entries.append((int(counts[cell, 1]), subgroup.size))
-    return entries
-
-
-def _inside_counts_ooc(
-    pred_source,
-    dataset,
-    subgroups: list[Subgroup],
-) -> list[tuple[int, int]]:
-    """:func:`_inside_counts` for packed datasets, in bounded memory.
-
-    ``dataset.subset_counts`` accumulates each attribute subset's joint
-    contingency chunk by chunk (integer bincounts, so bit-identical to
-    the in-memory tensor); only the ``(n_cells, 2)`` tensors are held.
-    """
-    by_subset: dict = {}
-    entries: list[tuple[int, int]] = []
-    for subgroup in subgroups:
-        attrs = tuple(attribute for attribute, _ in subgroup.conditions)
-        cached = by_subset.get(attrs)
-        if cached is None:
-            tables = [dataset.codes(attribute) for attribute in attrs]
-            cached = (tables, dataset.subset_counts(attrs, pred_source))
-            by_subset[attrs] = cached
-        tables, counts = cached
-        cell = 0
-        for table, (_, value) in zip(tables, subgroup.conditions):
-            cell = cell * table.n_categories + table.index[value]
-        entries.append((int(counts[cell, 1]), subgroup.size))
-    return entries
-
-
-def _scan_sources(
-    pred_source,
-    dataset,
-    subgroups: list[Subgroup],
-    token: str,
-    chunk_rows: int,
-) -> tuple[dict, list[tuple[int, int, int]]]:
-    """Build the zero-copy worker sources and per-subgroup work items.
-
-    Packed datasets contribute ``npy`` manifests (workers re-open the
-    column files themselves); in-memory datasets have their code arrays
-    and predictions published once into shared memory (``shm``
-    manifests).  Either way a work item is three integers — no column
-    array crosses the pickle boundary.
-    """
-    packed = hasattr(dataset, "codes_reader")
-
-    def column_manifest(attribute: str) -> dict:
-        if packed:
-            return dataset.codes_reader(attribute).manifest()
-        return shm_publish(dataset.codes(attribute).codes)
-
-    if isinstance(pred_source, np.ndarray):
-        pred_manifest = shm_publish(pred_source)
-    else:
-        pred_manifest = pred_source.manifest()
-
-    subset_index: dict[tuple, int] = {}
-    subsets: list[dict] = []
-    items: list[tuple[int, int, int]] = []
-    for subgroup in subgroups:
-        attrs = tuple(attribute for attribute, _ in subgroup.conditions)
-        position = subset_index.get(attrs)
-        if position is None:
-            tables = [dataset.codes(attribute) for attribute in attrs]
-            position = len(subsets)
-            subset_index[attrs] = position
-            subsets.append(
-                {
-                    "columns": [column_manifest(a) for a in attrs],
-                    "n_categories": [t.n_categories for t in tables],
-                    "tables": tables,
-                }
-            )
-        tables = subsets[position]["tables"]
-        cell = 0
-        for table, (_, value) in zip(tables, subgroup.conditions):
-            cell = cell * table.n_categories + table.index[value]
-        items.append((position, cell, subgroup.size))
-    sources = {
-        "token": token,
-        "n_rows": dataset.n_rows,
-        "chunk_rows": int(chunk_rows),
-        "predictions": pred_manifest,
-        "subsets": [
-            {k: v for k, v in subset.items() if k != "tables"}
-            for subset in subsets
-        ],
-    }
-    return sources, items
-
-
-def _merge_spills(tracer, metrics, spill_dir) -> None:
-    """Fold pool-worker telemetry spills into the parent tracer/registry.
-
-    Tolerant by construction: :func:`repro.kernel.read_spills` already
-    skips torn lines from killed workers, and a delta that fails
-    :meth:`~repro.observability.MetricsRegistry.merge_delta` validation
-    is dropped whole — worker telemetry is best-effort evidence and must
-    never corrupt the parent's, or fail a scan that scored correctly.
-    """
-    from repro.exceptions import ValidationError
-
-    for spill in read_spills(spill_dir):
-        if spill["spans"] and getattr(tracer, "enabled", False):
-            offset = 0.0
-            if spill["created"] is not None:
-                offset = spill["created"] - tracer.created
-            tracer.absorb(spill["spans"], clock_offset=offset)
-        for delta in spill["deltas"]:
-            try:
-                metrics.merge_delta(delta)
-            except ValidationError:
-                continue
 
 
 #: sentinel distinguishing "keyword passed" from "take it from config"
@@ -462,39 +189,37 @@ def audit_subgroups(
     Parameters
     ----------
     checkpoint_path:
-        When given, the scan frontier is checkpointed here every
-        ``checkpoint_every`` subgroups, with the findings so far in the
-        append-only log ``checkpoint_path + ".findings"``, making the
-        scan *anytime* — a killed run loses at most one checkpoint
-        interval of work.
+        When given, the scan checkpoints its joint counts here after
+        each ingest chunk and its canonical result at the end (see
+        :mod:`repro.subgroup.search`), making the scan *anytime* — a
+        killed run resumes without re-reading the rows it counted.
     resume:
         Restart from the checkpoint at ``checkpoint_path``.  A missing
-        checkpoint starts a fresh scan; a corrupt one, or one written by
-        a different configuration/dataset, raises
-        :class:`~repro.exceptions.CheckpointError` rather than silently
-        mixing runs.
+        checkpoint starts a fresh scan; a corrupt one, one written by a
+        different configuration/dataset, or one in an older layout
+        raises :class:`~repro.exceptions.CheckpointError` rather than
+        silently mixing runs.
     on_progress:
         Optional callable ``(evaluated, total)`` invoked after each
         subgroup — a cancellation/reporting hook for long scans.
     tracer:
         Optional :class:`~repro.observability.Tracer` (defaults to the
-        process-current one).  The whole scan becomes one
-        ``subgroups.scan`` span with progress events at each checkpoint
-        interval; checkpoint writes are individually timed into the
+        config's, then the process-current one).  The whole scan
+        becomes one ``subgroups.scan`` span with ``checkpoint`` events;
+        checkpoint writes are individually timed into the
         ``subgroups.checkpoint_write`` histogram, and the
         ``subgroups.evaluated`` counter tracks scan throughput.
     jobs:
         Number of worker processes for the scan.  The default ``1`` runs
-        serially; any higher value partitions the enumeration into
-        chunks aligned to the checkpoint interval and dispatches them to
-        a ``concurrent.futures`` pool, merging results in enumeration
+        serially; a higher value counts rows and scores subgroups in a
+        ``concurrent.futures`` pool, merging results in enumeration
         order — findings, p-values, and checkpoint files are
         byte-identical to the serial scan, so serial and parallel runs
         can resume each other's checkpoints.  Requires the ``"kernel"``
         backend.  Workers attach to the scan's sources by name — shared
         memory segments for in-memory datasets, packed column files for
-        :class:`~repro.data.ooc.MemmapDataset` — and derive their own
-        counts; no column array is ever pickled to a worker.
+        :class:`~repro.data.ooc.MemmapDataset` — so no column array is
+        ever pickled to a worker.
     executor_factory:
         Callable ``(jobs) -> Executor`` overriding the default
         ``ProcessPoolExecutor`` — a chaos/testing hook for injecting
@@ -516,21 +241,19 @@ def audit_subgroups(
         cadence, parallelism.  Overrides ``config``; overridden only by
         explicitly-passed legacy keywords (which are deprecated: each
         use emits a :class:`DeprecationWarning` asking for a
-        ``ScanConfig``).  With ``strategy="best_first"`` or
-        ``"incremental"`` the call dispatches to
-        :func:`repro.subgroup.search.scan_subgroups` and returns its
-        findings — the same flagged set, with adjusted p-values already
-        attached; do **not** run :func:`adjust_for_multiple_testing`
-        on that result (the censored correction cannot be re-derived
-        from the surviving findings alone).
+        ``ScanConfig``).  The exhaustive strategy returns raw p-values
+        whatever the config's ``correction`` (apply
+        :func:`adjust_for_multiple_testing` yourself).  With
+        ``strategy="best_first"`` or ``"incremental"`` the findings come
+        back with adjusted p-values already attached; do **not** run
+        :func:`adjust_for_multiple_testing` on that result (the censored
+        correction cannot be re-derived from the surviving findings
+        alone).
     state_path:
         Where an ``"incremental"`` scan persists its
         :class:`~repro.subgroup.search.ScanState` (required for that
         strategy; ignored otherwise).
     """
-    from repro.observability.metrics import get_metrics
-    from repro.observability.trace import get_tracer
-
     scan = _resolve_scan_config(
         scan_config,
         config,
@@ -542,285 +265,27 @@ def audit_subgroups(
             "jobs": jobs,
         },
     )
-    base = config if config is not None else AuditConfig()
-    tracer = base.tracer if tracer is _FROM_CONFIG else tracer
-    tracer = tracer if tracer is not None else get_tracer()
-    metrics = metrics if metrics is not None else get_metrics()
-    if scan.strategy != "exhaustive":
-        # Strategy dispatch: the lattice-pruned / incremental engine
-        # returns the provably-identical flagged set with corrections
-        # already attached (its censored family bookkeeping cannot be
-        # re-derived from the surviving findings alone — do not run
-        # adjust_for_multiple_testing on this result).
-        from repro.subgroup.search import scan_subgroups
+    if tracer is _FROM_CONFIG:
+        tracer = config.tracer if config is not None else None
+    if scan.strategy == "exhaustive":
+        # This function's contract is raw p-values: the caller applies
+        # adjust_for_multiple_testing.
+        scan = scan.replace(correction="none")
+    from repro.subgroup.search import scan_subgroups
 
-        return scan_subgroups(
-            predictions,
-            dataset,
-            attributes,
-            config=scan,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            state_path=state_path,
-            on_progress=on_progress,
-            tracer=tracer,
-            metrics=metrics,
-            executor_factory=executor_factory,
-        ).findings
-    max_order = scan.max_order
-    min_size = scan.min_size
-    alpha = scan.alpha
-    jobs = scan.jobs
-    checkpoint_every = scan.checkpoint_every
-    # A packed dataset hands out memmapped columns; when the predictions
-    # are one of them (``dataset.labels()``), recover the bounded reader
-    # behind it and validate/hash/count through buffered reads instead
-    # of materialising the mapping.
-    pred_reader = None
-    reader_for = getattr(dataset, "reader_for", None)
-    if reader_for is not None and isinstance(predictions, np.ndarray):
-        pred_reader = reader_for(predictions)
-    if pred_reader is not None:
-        positives_total = _validate_binary_reader(pred_reader, "predictions")
-        n_total = dataset.n_rows
-    else:
-        predictions = check_binary_array(predictions, "predictions")
-        if len(predictions) != dataset.n_rows:
-            raise AuditError("predictions length does not match dataset")
-        n_total = len(predictions)
-        positives_total = int(predictions.sum())
-    check_probability(alpha, "alpha")
-    check_positive_int(checkpoint_every, "checkpoint_every")
-    check_positive_int(jobs, "jobs")
-    if jobs > 1 and get_backend() != "kernel":
-        raise AuditError(
-            "jobs > 1 requires the 'kernel' backend; the reference path "
-            "is serial-only (repro.kernel.set_backend)"
-        )
-    if attributes is None:
-        attributes = dataset.schema.protected_names
-    if not attributes:
-        raise AuditError("no attributes to audit")
-    if resume and checkpoint_path is None:
-        raise CheckpointError("resume=True requires a checkpoint_path")
-
-    subgroups = enumerate_subgroups(
-        dataset, attributes, max_order=max_order, min_size=min_size
-    )
-    fingerprint = ""
-    if checkpoint_path is not None:
-        fingerprint = _scan_fingerprint(
-            pred_reader if pred_reader is not None else predictions,
-            dataset,
-            attributes,
-            max_order,
-            min_size,
-        )
-
-    total = len(subgroups)
-    start = 0
-    findings: list[SubgroupFinding] = []
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = LoggedCheckpoint(
-            checkpoint_path, fingerprint, suffix=FINDINGS_LOG_SUFFIX
-        )
-        # A missing checkpoint means nothing was saved yet: fresh scan.
-        # A corrupt or foreign checkpoint raises — never mix runs.
-        restored = checkpoint.resume() if resume else None
-        if restored is None:
-            checkpoint.start()
-        else:
-            payload, records = restored
-            # A payload that passed the envelope, fingerprint and log
-            # digest checks can still be structurally wrong (hand-edited,
-            # wrong producer); surface that as a CheckpointError, not a
-            # raw KeyError.
-            try:
-                start = int(payload["next_index"])
-                if not 0 <= start <= total:
-                    raise ValueError(f"next_index {start} outside [0, {total}]")
-                findings = [
-                    _finding_from_payload(entry, dataset) for entry in records
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"scan checkpoint {checkpoint_path} has the wrong "
-                    f"layout: {type(exc).__name__}: {exc}",
-                    path=checkpoint_path,
-                ) from exc
-
-    use_kernel = get_backend() == "kernel"
-    # Count pairs are derived up front only for the serial kernel scan;
-    # the parallel path ships source manifests and lets workers count
-    # (see _scan_sources / count_score_chunk).
-    entries = None
-    if use_kernel and jobs == 1:
-        if hasattr(dataset, "subset_counts"):
-            entries = _inside_counts_ooc(
-                pred_reader if pred_reader is not None else predictions,
-                dataset,
-                subgroups,
-            )
-        else:
-            entries = _inside_counts(predictions, dataset, subgroups)
-
-    with tracer.span(
-        "subgroups.scan",
-        total=total,
-        resumed_from=start,
-        max_order=max_order,
-        min_size=min_size,
-        jobs=jobs,
-    ) as scan_span:
-
-        def write_checkpoint(evaluated: int) -> None:
-            if checkpoint is not None and (
-                evaluated % checkpoint_every == 0 or evaluated == total
-            ):
-                with metrics.timer("subgroups.checkpoint_write"):
-                    checkpoint.save(
-                        {
-                            "next_index": evaluated,
-                            "total": total,
-                            "complete": evaluated == total,
-                        },
-                        map(
-                            _finding_to_payload,
-                            findings[checkpoint.records:],
-                        ),
-                    )
-                scan_span.event("checkpoint", evaluated=evaluated, total=total)
-
-        if jobs == 1:
-            # One vectorized inference batch scores the whole remaining
-            # scan (z-tests + Wilson intervals for every subgroup at
-            # once); the loop below only assembles findings and keeps
-            # the checkpoint/progress cadence identical to the
-            # pre-batch per-subgroup scoring.
-            payloads = (
-                score_chunk(entries[start:], positives_total, n_total)
-                if use_kernel
-                else None
-            )
-            for index in range(start, total):
-                subgroup = subgroups[index]
-                if use_kernel:
-                    payload = payloads[index - start]
-                    if payload is not None:
-                        findings.append(
-                            SubgroupFinding(subgroup=subgroup, **payload)
-                        )
-                else:
-                    inside = predictions[subgroup.mask]
-                    outside = predictions[~subgroup.mask]
-                    if len(outside) > 0:
-                        rate = float(inside.mean())
-                        complement = float(outside.mean())
-                        test = two_proportion_z_test(
-                            int(inside.sum()), len(inside),
-                            int(outside.sum()), len(outside),
-                        )
-                        lo, hi = wilson_interval(int(inside.sum()), len(inside))
-                        findings.append(
-                            SubgroupFinding(
-                                subgroup=subgroup,
-                                rate=rate,
-                                complement_rate=complement,
-                                gap=rate - complement,
-                                ci_low=lo,
-                                ci_high=hi,
-                                p_value=test.p_value,
-                            )
-                        )
-                evaluated = index + 1
-                metrics.counter("subgroups.evaluated").inc()
-                write_checkpoint(evaluated)
-                if on_progress is not None:
-                    on_progress(evaluated, total)
-        else:
-            import shutil
-            import tempfile
-            from concurrent.futures import ProcessPoolExecutor
-
-            factory = executor_factory or (
-                lambda n: ProcessPoolExecutor(max_workers=n)
-            )
-            # Workers spill their telemetry (chunk spans continuing this
-            # scan's trace context, plus metric deltas) to files the
-            # parent merges on join — but only for the real process
-            # pool: an injected executor may run chunks as threads in
-            # this very process, where the spill's registry/tracer swaps
-            # would race the parent's.
-            spill_dir = None
-            scan_context = None
-            if executor_factory is None:
-                spill_dir = tempfile.mkdtemp(prefix="repro-scan-spill-")
-                context = tracer.current_context()
-                scan_context = context.to_dict() if context else None
-            # Chunk boundaries sit on absolute multiples of the checkpoint
-            # interval, so the parallel scan checkpoints at exactly the
-            # serial cadence and the files interleave/resume either way.
-            # Without a checkpoint there is no cadence to preserve, so
-            # chunks grow to amortise the per-dispatch round trip.
-            dispatch = checkpoint_every
-            if checkpoint_path is None:
-                dispatch = max(dispatch, -(-(total - start) // (jobs * 4)))
-            # Workers attach to the scan's sources by name (shared
-            # memory for in-memory datasets, packed files on disk) and
-            # derive their own count pairs: a submitted chunk is source
-            # manifests plus (subset, cell, size) integer triples —
-            # never a column array.  The token keys each worker's
-            # per-scan source cache.
-            scan_token = fingerprint or uuid.uuid4().hex
-            sources, items = _scan_sources(
-                pred_reader if pred_reader is not None else predictions,
-                dataset,
-                subgroups,
-                scan_token,
-                getattr(dataset, "chunk_rows", _READER_CHUNK_ROWS),
-            )
-            ranges = chunk_ranges(start, total, dispatch)
-            try:
-                with factory(jobs) as pool:
-                    futures = [
-                        pool.submit(
-                            count_score_chunk,
-                            sources, items[lo:hi], positives_total, n_total,
-                            {
-                                "dir": spill_dir,
-                                "lo": lo,
-                                "hi": hi,
-                                "context": scan_context,
-                                "run_id": getattr(tracer, "run_id", ""),
-                            }
-                            if spill_dir is not None
-                            else None,
-                        )
-                        for lo, hi in ranges
-                    ]
-                    for (lo, hi), future in zip(ranges, futures):
-                        for offset, payload in enumerate(future.result()):
-                            if payload is not None:
-                                findings.append(
-                                    SubgroupFinding(
-                                        subgroup=subgroups[lo + offset],
-                                        **payload,
-                                    )
-                                )
-                        metrics.counter("subgroups.evaluated").inc(hi - lo)
-                        write_checkpoint(hi)
-                        if on_progress is not None:
-                            for index in range(lo, hi):
-                                on_progress(index + 1, total)
-            finally:
-                if spill_dir is not None:
-                    _merge_spills(tracer, metrics, spill_dir)
-                    shutil.rmtree(spill_dir, ignore_errors=True)
-        scan_span.set(evaluated=total - start)
-
-    findings.sort(key=lambda f: (-abs(f.gap), f.subgroup.label()))
-    return findings
+    return scan_subgroups(
+        predictions,
+        dataset,
+        attributes,
+        config=scan,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        state_path=state_path,
+        on_progress=on_progress,
+        tracer=tracer,
+        metrics=metrics,
+        executor_factory=executor_factory,
+    ).findings
 
 
 def adjust_for_multiple_testing(

@@ -1,9 +1,10 @@
-"""Lattice-pruned and incremental subgroup discovery (paper Section IV.C).
+"""The subgroup scan engine (paper Section IV.C).
 
-The exhaustive scan in :mod:`repro.subgroup.auditor` visits every
-subgroup and restarts from zero on every re-audit.  This module is the
-bound-driven alternative behind the :class:`~repro.core.config.ScanConfig`
-API:
+:func:`scan_subgroups` is the one implementation of the subgroup scan
+behind the :class:`~repro.core.config.ScanConfig` API;
+:func:`repro.subgroup.audit_subgroups` is its keyword-compatible front.
+``strategy="exhaustive"`` scores every subgroup of the lattice.  The
+other two strategies bound the work:
 
 * **Pruning** (``strategy="best_first"``) — for every subgroup cell the
   positives inside are bracketed by its lattice parents' marginal
@@ -37,7 +38,19 @@ A mid-run checkpoint holds the joint-cell accumulator, written after
 each ingest chunk; the last (``rows_done == n_rows``) is the frozen
 count state scoring reads.  Scoring writes nothing, because a resumed
 scan reloads those counts and re-scores from them.  The completed scan
-overwrites the file with the canonical payload described below.
+overwrites the file with the canonical payload described below.  A file
+without a ``format`` payload — such as the envelope-plus-``.findings``
+log layout of the retired per-subgroup scanner — is refused with a
+:class:`~repro.exceptions.CheckpointError`.
+
+Parallelism
+-----------
+With ``jobs > 1`` both phases run in a process pool.  Ingest workers
+attach to the columns by name (shared memory for in-memory datasets,
+packed column files otherwise) and return sparse cell counts; scoring
+workers receive count pairs only.  Pool workers spill their telemetry
+(``subgroups.score_chunk`` spans, chunk counters) to files merged into
+the caller's tracer and registry when the pool joins.
 
 Equivalence contract
 --------------------
@@ -59,6 +72,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
+import tempfile
+from concurrent.futures import wait as futures_wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -75,9 +92,6 @@ from repro.streaming.accumulator import AuditAccumulator
 from repro.subgroup.auditor import (
     SubgroupFinding,
     _finding_to_payload,
-    _jsonable,
-    _scan_fingerprint,
-    _validate_binary_reader,
     adjust_for_multiple_testing,
 )
 from repro.subgroup.enumeration import Subgroup, subgroup_space_size
@@ -96,11 +110,60 @@ _INGEST_CHUNK_ROWS = 1 << 20
 # ---------------------------------------------------------------------------
 
 
+def _hash_source(digest, source) -> None:
+    """Feed a column source — array or bounded reader — into a digest.
+
+    Chunked sha256 updates produce the same hex digest as one whole-array
+    update, so packed and in-memory scans of identical content agree.
+    """
+    if isinstance(source, np.ndarray):
+        digest.update(np.ascontiguousarray(source).tobytes())
+        return
+    for lo in range(0, source.n_rows, _INGEST_CHUNK_ROWS):
+        chunk = source.read(lo, min(lo + _INGEST_CHUNK_ROWS, source.n_rows))
+        digest.update(np.ascontiguousarray(chunk).tobytes())
+
+
+def _scan_fingerprint(
+    pred_source,
+    dataset: TabularDataset,
+    attributes: list[str],
+    max_order: int,
+    min_size: int,
+) -> str:
+    """Hash of the data bytes, attributes and lattice shape of a scan.
+
+    ``pred_source`` may be the prediction array or, for packed datasets,
+    a bounded column reader; either way the bytes (and so the digest)
+    match, keeping checkpoints resumable across representations.
+    """
+    digest = hashlib.sha256()
+    digest.update(
+        json.dumps(
+            {
+                "n_rows": dataset.n_rows,
+                "attributes": list(attributes),
+                "max_order": max_order,
+                "min_size": min_size,
+            },
+            sort_keys=True,
+        ).encode()
+    )
+    _hash_source(digest, pred_source)
+    open_column = getattr(dataset, "open_column", None)
+    for attribute in attributes:
+        if open_column is not None:
+            _hash_source(digest, open_column(attribute))
+        else:
+            digest.update(np.asarray(dataset.column(attribute)).tobytes())
+    return digest.hexdigest()
+
+
 def _result_fingerprint(data_fingerprint: str, config: ScanConfig) -> str:
     """Checkpoint-envelope fingerprint, strategy-independent by design.
 
-    Covers the data bytes, attributes, and lattice shape (via the legacy
-    scan fingerprint) plus the equivalence key — everything that
+    Covers the data bytes, attributes, and lattice shape (via
+    :func:`_scan_fingerprint`) plus the equivalence key — everything that
     determines the findings — and deliberately nothing about *how* the
     scan ran (strategy, jobs, cadence, slack), so exhaustive,
     best-first, serial, and parallel scans write and resume each other's
@@ -167,15 +230,15 @@ class _Lattice:
 
     def conditions(self, positions: tuple[int, ...], cell: int) -> tuple:
         """(attribute, value) conjunction for one cell index."""
-        digits = np.unravel_index(cell, self.shape(positions))
-        return tuple(
-            (self.attributes[i], self.tables[i].categories[int(d)])
-            for i, d in zip(positions, digits)
-        )
+        conditions = []
+        for i in reversed(positions):  # row-major: the last axis is fastest
+            cell, digit = divmod(cell, self.radix[i])
+            value = self.tables[i].categories[digit]
+            conditions.append((self.attributes[i], value))
+        return tuple(reversed(conditions))
 
-    def mask_factory(self, positions: tuple[int, ...], cell: int):
+    def mask_factory(self, positions: tuple[int, ...], conditions: tuple):
         """Deferred conjunction of the tables' cached category masks."""
-        conditions = self.conditions(positions, cell)
         tables = [self.tables[i] for i in positions]
 
         def build(tables=tables, conditions=conditions) -> np.ndarray:
@@ -546,6 +609,53 @@ class ScanState:
 # ---------------------------------------------------------------------------
 
 
+def _validate_binary_reader(reader) -> int:
+    """Chunked 0/1 validation of a packed prediction column.
+
+    The bounded-memory stand-in for :func:`check_binary_array`: same
+    rejections, but never materialises the column or full-size
+    temporaries.  Returns the positive count.
+    """
+    from repro.exceptions import ValidationError
+
+    if reader.dtype.kind not in "iub":
+        raise ValidationError(
+            "predictions must be an integer/boolean array, got dtype "
+            f"{reader.dtype}"
+        )
+    positives = 0
+    for lo in range(0, reader.n_rows, _INGEST_CHUNK_ROWS):
+        chunk = reader.read(lo, min(lo + _INGEST_CHUNK_ROWS, reader.n_rows))
+        bad = (chunk != 0) & (chunk != 1)
+        if bad.any():
+            raise ValidationError(
+                "predictions must contain only 0/1 values, found "
+                f"{np.unique(chunk[bad]).tolist()[:5]}"
+            )
+        positives += int(chunk.sum())
+    return positives
+
+
+def _prediction_source(predictions, dataset: TabularDataset):
+    """Validated predictions as ``(source, positives, n_rows)``.
+
+    A packed dataset hands out memmapped columns; when the predictions
+    are one of them (``dataset.labels()``), the source is the bounded
+    reader behind it, validated, hashed and counted through buffered
+    reads instead of materialising the mapping.
+    """
+    reader = None
+    reader_for = getattr(dataset, "reader_for", None)
+    if reader_for is not None and isinstance(predictions, np.ndarray):
+        reader = reader_for(predictions)
+    if reader is not None:
+        return reader, _validate_binary_reader(reader), dataset.n_rows
+    predictions = check_binary_array(predictions, "predictions")
+    if len(predictions) != dataset.n_rows:
+        raise AuditError("predictions length does not match dataset")
+    return predictions, int(predictions.sum()), len(predictions)
+
+
 def _code_sources(dataset: TabularDataset, attributes: list[str], pred_source):
     """Per-row readers: ``read(lo, hi) -> int64 codes`` per column + preds."""
     packed = hasattr(dataset, "codes_reader")
@@ -607,8 +717,7 @@ def _ingest_parallel(
     pred_source,
     lattice: _Lattice,
     lo: int,
-    jobs: int,
-    executor_factory,
+    pool,
     on_chunk=None,
 ) -> None:
     """Parallel joint-cell ingest: workers count rows, the parent merges.
@@ -617,9 +726,10 @@ def _ingest_parallel(
     in-memory datasets, packed column files otherwise) and return
     sparse ``(combined code, count)`` pairs; integer addition makes the
     merged cells identical to a serial ingest regardless of chunking.
+    A task is one ingest chunk, as in the serial ingest, so a worker
+    holds one chunk's codes however large the dataset.
     """
     import uuid
-    from concurrent.futures import ProcessPoolExecutor
 
     from repro.kernel.parallel import chunk_ranges, count_cells_chunk
     from repro.kernel.shm import publish as shm_publish
@@ -643,32 +753,88 @@ def _ingest_parallel(
     }
     n_rows = dataset.n_rows
     step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
-    step = max(step, -(-(n_rows - lo) // (jobs * 4)))
     ranges = chunk_ranges(lo, n_rows, step)
     shape = tuple(lattice.radix) + (2,)
-    factory = executor_factory or (lambda n: ProcessPoolExecutor(max_workers=n))
-    with factory(jobs) as pool:
-        futures = [
-            pool.submit(count_cells_chunk, sources, lo_, hi_)
-            for lo_, hi_ in ranges
-        ]
-        for (lo_, hi_), future in zip(ranges, futures):
-            codes, counts = future.result()
-            if codes:
-                digits = np.unravel_index(np.asarray(codes, dtype=np.int64), shape)
-                cells = accumulator._cells
-                for position, count in enumerate(counts):
-                    key = tuple(int(axis[position]) for axis in digits)
-                    cells[key] = cells.get(key, 0) + int(count)
-            accumulator.n_rows += hi_ - lo_
-            accumulator.chunks_ingested += 1
-            if on_chunk is not None:
-                on_chunk(hi_)
+    futures = [
+        pool.submit(count_cells_chunk, sources, lo_, hi_)
+        for lo_, hi_ in ranges
+    ]
+    for (lo_, hi_), future in zip(ranges, futures):
+        codes, counts = future.result()
+        if codes:
+            digits = np.unravel_index(np.asarray(codes, dtype=np.int64), shape)
+            cells = accumulator._cells
+            for position, count in enumerate(counts):
+                key = tuple(int(axis[position]) for axis in digits)
+                cells[key] = cells.get(key, 0) + int(count)
+        accumulator.n_rows += hi_ - lo_
+        accumulator.chunks_ingested += 1
+        if on_chunk is not None:
+            on_chunk(hi_)
 
 
 # ---------------------------------------------------------------------------
 # the scan engine
 # ---------------------------------------------------------------------------
+
+
+def _restored_counts(
+    state, lattice: _Lattice, n_total: int
+) -> AuditAccumulator:
+    """A counts checkpoint's accumulator, checked against this lattice.
+
+    The fingerprint already pins the data and the lattice, so a
+    mismatch here means the file was edited: every cell key must be a
+    code inside the lattice's radix (and a 0/1 prediction), and no more
+    rows may be counted than exist.  Violations raise ``ValueError``
+    for the caller to report as a :class:`CheckpointError`.
+    """
+    if not isinstance(state, dict):
+        raise ValueError("accumulator state is not a JSON object")
+    accumulator = AuditAccumulator.from_dict(state)
+    if (
+        accumulator.protected != tuple(lattice.attributes)
+        or accumulator.strata is not None
+        or accumulator.label is not None
+    ):
+        raise ValueError("accumulator layout does not match the lattice")
+    bounds = (*lattice.radix, 2)
+    for key in accumulator._cells:
+        if not all(
+            type(code) is int and 0 <= code < bound
+            for code, bound in zip(key, bounds)
+        ):
+            raise ValueError(f"cell {key!r} lies outside the lattice")
+    if accumulator.n_rows > n_total:
+        raise ValueError(
+            f"{accumulator.n_rows} rows counted, the dataset has {n_total}"
+        )
+    return accumulator
+
+
+def _merge_spills(tracer, metrics, spill_dir) -> None:
+    """Fold pool-worker telemetry spills into the parent tracer/registry.
+
+    Tolerant by construction: :func:`repro.kernel.read_spills` already
+    skips torn lines from killed workers, and a delta that fails
+    :meth:`~repro.observability.MetricsRegistry.merge_delta` validation
+    is dropped whole — worker telemetry is best-effort evidence and must
+    never corrupt the parent's, or fail a scan that scored correctly.
+    """
+    from repro.exceptions import ValidationError
+    from repro.kernel.parallel import read_spills
+
+    for spill in read_spills(spill_dir):
+        if spill["spans"] and getattr(tracer, "enabled", False):
+            offset = 0.0
+            if spill["created"] is not None:
+                offset = spill["created"] - tracer.created
+            tracer.absorb(spill["spans"], clock_offset=offset)
+        for delta in spill["deltas"]:
+            try:
+                metrics.merge_delta(delta)
+            except ValidationError:
+                continue
 
 
 def _canonical_payload(
@@ -705,8 +871,8 @@ def _score_and_correct(
     metrics,
     tracer,
     on_progress=None,
-    jobs: int = 1,
-    executor_factory=None,
+    pool=None,
+    spill: bool = False,
     subset_order: list[tuple[int, ...]] | None = None,
 ) -> tuple[list[SubgroupFinding], list[SubgroupFinding], dict]:
     """Score the kept cells, attach corrections, compute the flag set.
@@ -716,11 +882,20 @@ def _score_and_correct(
     complement), and ``keep`` (eligible minus pruned) vectors.  Scoring
     walks subsets in ``subset_order`` (enumeration order by default),
     batching through :func:`batch_score_counts` in checkpoint-interval
-    chunks — dispatched to a worker pool via bound-aware ranges when
-    ``jobs > 1`` — so the numbers are bit-identical to the legacy
-    per-subgroup arithmetic.
+    chunks — dispatched to ``pool`` via bound-aware ranges when one is
+    given — so the numbers are bit-identical to the per-subgroup scalar
+    arithmetic.  ``spill`` routes pool workers through
+    :func:`score_chunk_telemetry` (only for a real process pool: an
+    injected executor may run chunks as threads in this very process,
+    where the spill's registry/tracer swaps would race ours).
+    ``on_progress`` hears about every subgroup in processing order,
+    pruned ones included, once its chunk is scored.
     """
-    from repro.kernel.parallel import pruned_ranges, score_chunk
+    from repro.kernel.parallel import (
+        pruned_ranges,
+        score_chunk,
+        score_chunk_telemetry,
+    )
 
     order = subset_order if subset_order is not None else list(
         marginals_by_subset
@@ -750,62 +925,73 @@ def _score_and_correct(
     findings: list[SubgroupFinding] = []
     evaluated = 0
     ranges = pruned_ranges(keep_flags, config.checkpoint_every)
-    pool_ctx = None
-    futures = []
-    if jobs > 1 and ranges:
-        from concurrent.futures import ProcessPoolExecutor
-
-        factory = executor_factory or (
-            lambda n: ProcessPoolExecutor(max_workers=n)
-        )
-        pool_ctx = factory(jobs)
-    try:
-        if pool_ctx is not None:
-            pool = pool_ctx.__enter__()
-            for lo, hi in ranges:
-                entries = [
-                    (flat[i][2], flat[i][3])
-                    for i in range(lo, hi)
-                    if keep_flags[i]
-                ]
-                futures.append(
-                    pool.submit(score_chunk, entries, positives_total, n_total)
-                )
-        done = 0
-        for index, (lo, hi) in enumerate(ranges):
-            kept = [i for i in range(lo, hi) if keep_flags[i]]
-            if pool_ctx is not None:
-                payloads = futures[index].result()
+    chunks = [
+        [i for i in range(lo, hi) if keep_flags[i]] for lo, hi in ranges
+    ]
+    work = [[(flat[i][2], flat[i][3]) for i in kept] for kept in chunks]
+    futures, spill_dir = [], None
+    if pool is None:
+        results = (score_chunk(e, positives_total, n_total) for e in work)
+    else:
+        if spill:
+            # chunk spans continue this scan's trace; spans and metric
+            # deltas come back as files merged once the chunks are done
+            spill_dir = tempfile.mkdtemp(prefix="repro-scan-spill-")
+            context = tracer.current_context()
+        for (lo, hi), entries in zip(ranges, work):
+            if spill_dir is None:
+                futures.append(pool.submit(
+                    score_chunk, entries, positives_total, n_total
+                ))
             else:
-                payloads = score_chunk(
-                    [(flat[i][2], flat[i][3]) for i in kept],
-                    positives_total,
-                    n_total,
-                )
+                futures.append(pool.submit(
+                    score_chunk_telemetry, entries, positives_total, n_total,
+                    {
+                        "dir": spill_dir,
+                        "lo": lo,
+                        "hi": hi,
+                        "context": context.to_dict() if context else None,
+                        "run_id": getattr(tracer, "run_id", ""),
+                    },
+                ))
+        results = (future.result() for future in futures)
+    done = 0
+    try:
+        for (lo, hi), kept, payloads in zip(ranges, chunks, results):
             for i, payload in zip(kept, payloads):
                 positions, cell, pos, n = flat[i]
                 if payload is None:  # pragma: no cover — keep excludes n == N
                     continue
+                conditions = lattice.conditions(positions, cell)
                 findings.append(
                     SubgroupFinding(
                         subgroup=Subgroup(
-                            conditions=lattice.conditions(positions, cell),
+                            conditions=conditions,
                             size=n,
-                            mask_factory=lattice.mask_factory(positions, cell),
+                            mask_factory=lattice.mask_factory(
+                                positions, conditions
+                            ),
                         ),
                         **payload,
                     )
                 )
             evaluated += len(kept)
             metrics.counter("subgroups.evaluated").inc(len(kept))
-            done = hi
             if on_progress is not None:
-                on_progress(done, len(flat))
+                for position in range(done, hi):
+                    on_progress(position + 1, len(flat))
+            done = hi
     finally:
-        if pool_ctx is not None:
-            pool_ctx.__exit__(None, None, None)
-    if on_progress is not None and done < len(flat):
-        on_progress(len(flat), len(flat))
+        if spill_dir is not None:
+            # no worker may still be writing when the files are merged
+            for future in futures:
+                future.cancel()
+            futures_wait(futures)
+            _merge_spills(tracer, metrics, spill_dir)
+            shutil.rmtree(spill_dir, ignore_errors=True)
+    if on_progress is not None:
+        for position in range(done, len(flat)):
+            on_progress(position + 1, len(flat))
 
     findings.sort(key=lambda f: (-abs(f.gap), f.subgroup.label()))
     threshold = config.alpha + config.bound_slack
@@ -951,25 +1137,21 @@ def scan_subgroups(
             "ScanState between audits"
         )
 
-    pred_reader = None
-    reader_for = getattr(dataset, "reader_for", None)
-    if reader_for is not None and isinstance(predictions, np.ndarray):
-        pred_reader = reader_for(predictions)
-    if pred_reader is not None:
-        positives_total = _validate_binary_reader(pred_reader, "predictions")
-        n_total = dataset.n_rows
-    else:
-        predictions = check_binary_array(predictions, "predictions")
-        if len(predictions) != dataset.n_rows:
-            raise AuditError("predictions length does not match dataset")
-        n_total = len(predictions)
-        positives_total = int(predictions.sum())
+    pred_source, positives_total, n_total = _prediction_source(
+        predictions, dataset
+    )
     if attributes is None:
         attributes = dataset.schema.protected_names
     if not attributes:
         raise AuditError("no attributes to audit")
     attributes = list(attributes)
-    pred_source = pred_reader if pred_reader is not None else predictions
+    for attribute in attributes:
+        column = dataset.schema[attribute]
+        if not column.is_discrete:
+            raise AuditError(
+                f"subgroup scans require discrete columns; {attribute!r} "
+                f"is {column.kind}"
+            )
 
     # Incremental fast path: reuse persisted state when it matches this
     # lattice and the dataset has only grown.
@@ -1020,11 +1202,14 @@ def scan_subgroups(
     if resume and Path(checkpoint_path).exists():
         payload = load_checkpoint(checkpoint_path, fingerprint)
         try:
-            if payload.get("format") != SCAN_FORMAT:
+            if not isinstance(payload, dict) or (
+                payload.get("format") != SCAN_FORMAT
+            ):
                 raise CheckpointError(
-                    f"checkpoint {checkpoint_path} was written by the "
-                    "legacy exhaustive scanner; resume it through "
-                    "audit_subgroups",
+                    f"scan checkpoint {checkpoint_path} has the wrong "
+                    f"layout: no format {SCAN_FORMAT} payload (checkpoints "
+                    "that keep findings in a .findings log predate this "
+                    "scanner and cannot be resumed; rerun without resume)",
                     path=checkpoint_path,
                 )
             if payload.get("complete"):
@@ -1033,7 +1218,9 @@ def scan_subgroups(
                 # fresh (same bytes will be rewritten at the end).
                 pass
             else:
-                accumulator = AuditAccumulator.from_dict(payload["accumulator"])
+                accumulator = _restored_counts(
+                    payload["accumulator"], lattice, n_total
+                )
                 rows_done = accumulator.n_rows
         except CheckpointError:
             raise
@@ -1044,6 +1231,16 @@ def scan_subgroups(
                 path=checkpoint_path,
             ) from exc
 
+    # One pool serves both phases; ProcessPoolExecutor starts its
+    # workers on the first submit, so a phase with no work spawns none.
+    if jobs == 1:
+        pool_ctx = nullcontext()
+    elif executor_factory is not None:
+        pool_ctx = executor_factory(jobs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_ctx = ProcessPoolExecutor(max_workers=jobs)
     with tracer.span(
         "subgroups.scan",
         strategy=config.strategy,
@@ -1051,7 +1248,7 @@ def scan_subgroups(
         min_size=config.min_size,
         jobs=jobs,
         resumed_rows=rows_done,
-    ) as span:
+    ) as span, pool_ctx as pool:
 
         def ingest_checkpoint(rows: int) -> None:
             if checkpoint_path is not None:
@@ -1070,10 +1267,10 @@ def scan_subgroups(
                 span.event("checkpoint", phase="ingest", rows=rows)
 
         if rows_done < n_total:
-            if jobs > 1:
+            if pool is not None:
                 _ingest_parallel(
                     accumulator, dataset, attributes, pred_source, lattice,
-                    rows_done, jobs, executor_factory,
+                    rows_done, pool,
                     on_chunk=ingest_checkpoint if checkpoint_path else None,
                 )
             else:
@@ -1101,7 +1298,7 @@ def scan_subgroups(
         findings, flagged, stats = _score_and_correct(
             lattice, by_subset, config, positives_total, n_total,
             metrics=metrics, tracer=tracer, on_progress=on_progress,
-            jobs=jobs, executor_factory=executor_factory,
+            pool=pool, spill=pool is not None and executor_factory is None,
             subset_order=subset_order,
         )
         span.set(**stats)
@@ -1208,19 +1405,9 @@ def rescan(
     metrics = metrics if metrics is not None else get_metrics()
     config = state.config
 
-    pred_reader = None
-    reader_for = getattr(dataset, "reader_for", None)
-    if reader_for is not None and isinstance(predictions, np.ndarray):
-        pred_reader = reader_for(predictions)
-    if pred_reader is not None:
-        positives_total = _validate_binary_reader(pred_reader, "predictions")
-        n_total = dataset.n_rows
-    else:
-        predictions = check_binary_array(predictions, "predictions")
-        if len(predictions) != dataset.n_rows:
-            raise AuditError("predictions length does not match dataset")
-        n_total = len(predictions)
-        positives_total = int(predictions.sum())
+    pred_source, positives_total, n_total = _prediction_source(
+        predictions, dataset
+    )
     if attributes is None:
         attributes = list(state.attributes)
     if list(attributes) != list(state.attributes):
@@ -1233,7 +1420,6 @@ def rescan(
             f"dataset has {n_total} rows but the scan state covers "
             f"{state.n_rows}; incremental scans require append-only growth"
         )
-    pred_source = pred_reader if pred_reader is not None else predictions
 
     lattice = _Lattice(dataset, attributes, config.max_order)
     with tracer.span(

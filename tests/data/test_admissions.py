@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FairnessAudit, demographic_parity, four_fifths_rule
+from repro.core.config import ScanConfig
 from repro.data import ETHNICITY_GROUPS, make_admissions
 from repro.exceptions import ValidationError
 from repro.mitigation import QuantileRepair
@@ -89,7 +90,8 @@ class TestThreeGroupAuditing:
     def test_subgroup_scan_finds_worst_cell(self, biased):
         findings = audit_subgroups(
             biased.labels(), biased,
-            attributes=["ethnicity", "sex"], max_order=2, min_size=30,
+            attributes=["ethnicity", "sex"],
+            scan_config=ScanConfig(max_order=2, min_size=30),
         )
         worst = findings[0]
         assert ("ethnicity", "group_z") in worst.subgroup.conditions

@@ -133,12 +133,27 @@ def test_overlong_column_file(packed):
 
 def test_garbled_npy_header(packed):
     victim = _column_file(packed)
-    blob = bytearray(victim.read_bytes())
+    original = victim.read_bytes()
+    blob = bytearray(original)
     blob[:6] = b"\x93NOPE\0"
     victim.write_bytes(bytes(blob))
     with pytest.raises(DatasetError, match="garbled .npy header") as excinfo:
         open_dataset(packed)
     assert str(victim) in str(excinfo.value)
+    # every single-bit flip of the header dict: numpy tokenizes and
+    # literal-evaluates it, so a flip can surface as a tokenizer or
+    # syntax error — each must still be a DatasetError naming the file
+    # (a flip inside the padding may leave the header valid)
+    header_end = 10 + int.from_bytes(original[8:10], "little")
+    for byte in range(10, header_end):
+        for bit in range(8):
+            blob = bytearray(original)
+            blob[byte] ^= 1 << bit
+            victim.write_bytes(bytes(blob))
+            try:
+                open_dataset(packed)
+            except DatasetError as exc:
+                assert str(victim) in str(exc), (byte, bit)
 
 
 def test_missing_column_file(packed):
@@ -169,8 +184,14 @@ def test_sidecar_dtype_mismatch(packed):
 
 def test_corrupt_sidecar_json(packed):
     sidecar = packed / PACK_SIDECAR
-    sidecar.write_text(sidecar.read_text()[:-20])
+    text = sidecar.read_text()
+    sidecar.write_text(text[:-20])
     with pytest.raises(DatasetError, match="byte offset") as excinfo:
+        open_dataset(packed)
+    assert str(sidecar) in str(excinfo.value)
+    # bytes that are not UTF-8 at all
+    sidecar.write_bytes(b"\xff\xfe" + text.encode())
+    with pytest.raises(DatasetError, match="not UTF-8") as excinfo:
         open_dataset(packed)
     assert str(sidecar) in str(excinfo.value)
 

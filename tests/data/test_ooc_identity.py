@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.audit import FairnessAudit
+from repro.core.config import ScanConfig
 from repro.core.serialize import report_to_dict
 from repro.data import make_intersectional, open_dataset, pack_dataset
 from repro.kernel import use_backend
@@ -88,8 +89,14 @@ def test_stream_chunks_accepts_path_and_dataset(inputs):
 def test_serial_scan_identical_across_representations(inputs, backend):
     data, packed, predictions = inputs
     with use_backend(backend):
-        reference = audit_subgroups(predictions, data, max_order=2, min_size=5)
-        memmapped = audit_subgroups(predictions, packed, max_order=2, min_size=5)
+        reference = audit_subgroups(
+            predictions, data,
+            scan_config=ScanConfig(max_order=2, min_size=5),
+        )
+        memmapped = audit_subgroups(
+            predictions, packed,
+            scan_config=ScanConfig(max_order=2, min_size=5),
+        )
     assert signatures(memmapped) == signatures(reference)
 
 
@@ -97,11 +104,17 @@ def test_serial_scan_identical_across_representations(inputs, backend):
 def test_adjusted_p_values_identical(inputs, method):
     data, packed, predictions = inputs
     reference = adjust_for_multiple_testing(
-        audit_subgroups(predictions, data, max_order=2, min_size=5),
+        audit_subgroups(
+            predictions, data,
+            scan_config=ScanConfig(max_order=2, min_size=5),
+        ),
         method=method,
     )
     memmapped = adjust_for_multiple_testing(
-        audit_subgroups(predictions, packed, max_order=2, min_size=5),
+        audit_subgroups(
+            predictions, packed,
+            scan_config=ScanConfig(max_order=2, min_size=5),
+        ),
         method=method,
     )
     assert signatures(memmapped) == signatures(reference)
@@ -116,8 +129,11 @@ def test_checkpoints_byte_identical_across_representation_and_jobs(
         for jobs in (1, 2):
             path = tmp_path / f"{rep}-{jobs}.json"
             findings = audit_subgroups(
-                predictions, source, max_order=2, min_size=5, jobs=jobs,
-                checkpoint_path=path, checkpoint_every=3,
+                predictions, source,
+                scan_config=ScanConfig(
+                    max_order=2, min_size=5, jobs=jobs, checkpoint_every=3
+                ),
+                checkpoint_path=path,
             )
             texts[(rep, jobs)] = path.read_text()
             if (rep, jobs) != ("mem", 1):
@@ -138,16 +154,25 @@ def test_interrupted_scan_resumes_across_representations(inputs, tmp_path):
         if evaluated >= 6:
             raise Stop
 
-    reference = audit_subgroups(predictions, data, max_order=2, min_size=5)
+    reference = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     path = tmp_path / "cross.json"
     with pytest.raises(Stop):
         audit_subgroups(
-            predictions, data, max_order=2, min_size=5,
-            checkpoint_path=path, checkpoint_every=3, on_progress=stop_after,
+            predictions, data,
+            scan_config=ScanConfig(
+                max_order=2, min_size=5, checkpoint_every=3
+            ),
+            checkpoint_path=path, on_progress=stop_after,
         )
     resumed = audit_subgroups(
-        predictions, packed, max_order=2, min_size=5, jobs=2,
-        checkpoint_path=path, checkpoint_every=3, resume=True,
+        predictions, packed,
+        scan_config=ScanConfig(
+            max_order=2, min_size=5, jobs=2, checkpoint_every=3
+        ),
+        checkpoint_path=path, resume=True,
     )
     assert signatures(resumed) == signatures(reference)
 
@@ -195,10 +220,14 @@ class _PickleBoundaryExecutor:
 def test_no_column_array_crosses_the_pickle_boundary(inputs, representation):
     data, packed, predictions = inputs
     source = data if representation == "mem" else packed
-    serial = audit_subgroups(predictions, data, max_order=2, min_size=5)
+    serial = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     executor = _PickleBoundaryExecutor()
     parallel = audit_subgroups(
-        predictions, source, max_order=2, min_size=5, jobs=2,
+        predictions, source,
+        scan_config=ScanConfig(max_order=2, min_size=5, jobs=2),
         executor_factory=lambda n: executor,
     )
     assert executor.submits > 0
@@ -207,8 +236,12 @@ def test_no_column_array_crosses_the_pickle_boundary(inputs, representation):
 
 def test_real_pool_identical_for_packed_input(inputs):
     data, packed, predictions = inputs
-    serial = audit_subgroups(predictions, data, max_order=2, min_size=5)
+    serial = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     parallel = audit_subgroups(
-        predictions, packed, max_order=2, min_size=5, jobs=2
+        predictions, packed,
+        scan_config=ScanConfig(max_order=2, min_size=5, jobs=2),
     )
     assert signatures(parallel) == signatures(serial)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import ValidationError
 from repro.kernel import read_spills, score_chunk, score_chunk_telemetry
@@ -255,7 +256,8 @@ class TestParallelScanTelemetry:
         with use_metrics(registry):
             with tracer.span("cli.subgroups"):
                 audit_subgroups(
-                    dataset.labels(), dataset, jobs=2, tracer=tracer
+                    dataset.labels(), dataset,
+                    scan_config=ScanConfig(jobs=2), tracer=tracer,
                 )
         out = tmp_path / "trace.jsonl"
         tracer.write(out)
@@ -283,7 +285,9 @@ class TestParallelScanTelemetry:
     def test_parallel_scan_merges_worker_counters(self, dataset):
         registry = MetricsRegistry()
         with use_metrics(registry):
-            findings = audit_subgroups(dataset.labels(), dataset, jobs=2)
+            findings = audit_subgroups(
+                dataset.labels(), dataset, scan_config=ScanConfig(jobs=2)
+            )
         snapshot = registry.snapshot()
         assert snapshot["counters"]["subgroups.chunks_scored"] >= 1
         # every scored entry is a non-first-order subgroup

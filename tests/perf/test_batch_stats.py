@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.kernel import use_backend
 from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
@@ -234,9 +235,11 @@ class TestAuditArtifactIdentity:
         for backend in ("kernel", "reference"):
             with use_backend(backend):
                 findings = audit_subgroups(
-                    predictions, data, max_order=2, min_size=5,
+                    predictions, data,
+                    scan_config=ScanConfig(
+                        max_order=2, min_size=5, checkpoint_every=3
+                    ),
                     checkpoint_path=tmp_path / f"{backend}.json",
-                    checkpoint_every=3,
                 )
             results[backend] = findings
             texts[backend] = (tmp_path / f"{backend}.json").read_text()

@@ -13,10 +13,12 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import AuditError
 from repro.kernel import chunk_ranges, use_backend
 from repro.subgroup import adjust_for_multiple_testing, audit_subgroups
+from tests.subgroup.reference_scan import reference_findings
 
 
 def finding_signature(finding):
@@ -78,8 +80,11 @@ def test_parallel_findings_and_corrections_match_serial(scan_inputs, tmp_path):
     results = {}
     for jobs, name in ((1, "serial"), (4, "parallel")):
         findings = audit_subgroups(
-            predictions, data, max_order=2, min_size=5, jobs=jobs,
-            checkpoint_path=tmp_path / f"{name}.json", checkpoint_every=3,
+            predictions, data,
+            scan_config=ScanConfig(
+                max_order=2, min_size=5, jobs=jobs, checkpoint_every=3
+            ),
+            checkpoint_path=tmp_path / f"{name}.json",
         )
         findings = adjust_for_multiple_testing(findings, method="holm")
         results[name] = findings
@@ -96,15 +101,23 @@ def test_parallel_requires_kernel_backend(scan_inputs):
     data, predictions = scan_inputs
     with use_backend("reference"):
         with pytest.raises(AuditError, match="kernel"):
-            audit_subgroups(predictions, data, jobs=2)
+            audit_subgroups(
+                predictions, data,
+                scan_config=ScanConfig(jobs=2),
+            )
 
 
 def test_reference_backend_scan_matches_kernel(scan_inputs):
     data, predictions = scan_inputs
     with use_backend("reference"):
-        reference = audit_subgroups(predictions, data, max_order=2, min_size=5)
+        reference = reference_findings(
+            predictions, data, max_order=2, min_size=5
+        )
     with use_backend("kernel"):
-        kernel = audit_subgroups(predictions, data, max_order=2, min_size=5)
+        kernel = audit_subgroups(
+            predictions, data,
+            scan_config=ScanConfig(max_order=2, min_size=5),
+        )
     assert [finding_signature(f) for f in kernel] == [
         finding_signature(f) for f in reference
     ]
@@ -112,20 +125,29 @@ def test_reference_backend_scan_matches_kernel(scan_inputs):
 
 def test_worker_death_then_resume_reproduces_serial(scan_inputs, tmp_path):
     data, predictions = scan_inputs
-    serial = audit_subgroups(predictions, data, max_order=2, min_size=5)
+    serial = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
 
     checkpoint = tmp_path / "chaos.json"
     with pytest.raises(RuntimeError, match="worker died"):
         audit_subgroups(
-            predictions, data, max_order=2, min_size=5, jobs=2,
-            checkpoint_path=checkpoint, checkpoint_every=3,
+            predictions, data,
+            scan_config=ScanConfig(
+                max_order=2, min_size=5, jobs=2, checkpoint_every=3
+            ),
+            checkpoint_path=checkpoint,
             executor_factory=lambda n: _ThreadlessExecutor(fail_from_call=3),
         )
     assert checkpoint.exists()  # partial progress survived the crash
 
     resumed = audit_subgroups(
-        predictions, data, max_order=2, min_size=5, jobs=4,
-        checkpoint_path=checkpoint, checkpoint_every=3, resume=True,
+        predictions, data,
+        scan_config=ScanConfig(
+            max_order=2, min_size=5, jobs=4, checkpoint_every=3
+        ),
+        checkpoint_path=checkpoint, resume=True,
         executor_factory=lambda n: _ThreadlessExecutor(),
     )
     assert [finding_signature(f) for f in resumed] == [
@@ -149,25 +171,31 @@ def test_serial_checkpoint_resumes_under_parallel_and_vice_versa(
         return hook
 
     full = audit_subgroups(
-        predictions, data, max_order=2, min_size=5,
-        checkpoint_path=tmp_path / "full.json", checkpoint_every=3,
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5, checkpoint_every=3),
+        checkpoint_path=tmp_path / "full.json",
     )
 
     for jobs_first, jobs_second, name in ((1, 4, "s2p"), (4, 1, "p2s")):
         path = tmp_path / f"{name}.json"
         with pytest.raises(Stop):
             audit_subgroups(
-                predictions, data, max_order=2, min_size=5, jobs=jobs_first,
-                checkpoint_path=path, checkpoint_every=3,
-                on_progress=stop_after(6),
+                predictions, data,
+                scan_config=ScanConfig(
+                    max_order=2, min_size=5, jobs=jobs_first, checkpoint_every=3
+                ),
+                checkpoint_path=path, on_progress=stop_after(6),
                 executor_factory=(
                     None if jobs_first == 1
                     else (lambda n: _ThreadlessExecutor())
                 ),
             )
         resumed = audit_subgroups(
-            predictions, data, max_order=2, min_size=5, jobs=jobs_second,
-            checkpoint_path=path, checkpoint_every=3, resume=True,
+            predictions, data,
+            scan_config=ScanConfig(
+                max_order=2, min_size=5, jobs=jobs_second, checkpoint_every=3
+            ),
+            checkpoint_path=path, resume=True,
             executor_factory=(
                 None if jobs_second == 1
                 else (lambda n: _ThreadlessExecutor())
@@ -183,9 +211,13 @@ def test_real_process_pool_matches_serial(scan_inputs):
     # One run through the genuine ProcessPoolExecutor path (the other
     # tests use the deterministic inline executor).
     data, predictions = scan_inputs
-    serial = audit_subgroups(predictions, data, max_order=2, min_size=5)
+    serial = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     parallel = audit_subgroups(
-        predictions, data, max_order=2, min_size=5, jobs=2
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5, jobs=2),
     )
     assert [finding_signature(f) for f in parallel] == [
         finding_signature(f) for f in serial

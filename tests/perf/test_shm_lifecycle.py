@@ -21,6 +21,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.kernel import clear_cache
 from repro.kernel.shm import (
@@ -158,7 +159,10 @@ def test_worker_exit_leaves_parent_segment_intact(exit_mode):
 def test_parallel_scan_then_clear_cache_leaves_no_segments():
     data = make_intersectional(n=3000, random_state=11)
     predictions = data.labels()
-    audit_subgroups(predictions, data, max_order=2, min_size=5, jobs=2)
+    audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5, jobs=2),
+    )
     assert active_segments() != []  # the scan published code arrays
     clear_cache()
     assert active_segments() == []

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_hiring
 from repro.exceptions import CheckpointError
 from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
@@ -155,25 +156,87 @@ class TestScanResume:
         path = tmp_path / "scan.json"
         # run once to learn the fingerprint the resume path expects
         audit_subgroups(
-            hiring.labels(), hiring, max_order=1,
-            checkpoint_path=str(path), checkpoint_every=1,
+            hiring.labels(), hiring,
+            scan_config=ScanConfig(max_order=1, checkpoint_every=1),
+            checkpoint_path=str(path),
         )
         envelope = json.loads(path.read_text())
-        envelope["payload"] = {"unexpected": True}
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(CheckpointError, match="wrong layout") as excinfo:
-            audit_subgroups(
-                hiring.labels(), hiring, max_order=1,
-                checkpoint_path=str(path), resume=True,
-            )
-        _assert_checkpoint_error(excinfo, path)
+        for payload in ({"unexpected": True}, [1, 2], "scan"):
+            envelope["payload"] = payload
+            path.write_text(json.dumps(envelope))
+            with pytest.raises(
+                CheckpointError, match="wrong layout"
+            ) as excinfo:
+                audit_subgroups(
+                    hiring.labels(), hiring,
+                    scan_config=ScanConfig(max_order=1),
+                    checkpoint_path=str(path), resume=True,
+                )
+            _assert_checkpoint_error(excinfo, path)
 
     def test_garbled_scan_checkpoint(self, tmp_path, hiring):
         path = tmp_path / "scan.json"
         path.write_text("{torn")
         with pytest.raises(CheckpointError) as excinfo:
             audit_subgroups(
-                hiring.labels(), hiring, max_order=1,
+                hiring.labels(), hiring, scan_config=ScanConfig(max_order=1),
                 checkpoint_path=str(path), resume=True,
             )
         _assert_checkpoint_error(excinfo, path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda state: [],
+            lambda state: state["cells"][0][0].__setitem__(0, -1),
+            lambda state: state["cells"][0][0].__setitem__(0, 99),
+            lambda state: state["cells"][0][0].__setitem__(-1, 2),
+            lambda state: state["cells"][0][0].__setitem__(0, None),
+            lambda state: state["cells"][0][0].__setitem__(0, "a"),
+            lambda state: state.__setitem__("protected", ["nope"]),
+            lambda state: state.__setitem__("label", "hired"),
+        ],
+        ids=["not-an-object", "negative-code", "code-past-radix",
+             "prediction-not-binary", "null-code", "string-code",
+             "other-attributes", "labelled-layout"],
+    )
+    def test_edited_counts_scan_checkpoint(self, tmp_path, hiring, edit):
+        # an ingest checkpoint whose counts no longer fit the lattice:
+        # refused, however it parses
+        path = tmp_path / "scan.json"
+        scan = ScanConfig(max_order=2)
+        audit_subgroups(
+            hiring.labels(), hiring, scan_config=scan, checkpoint_path=path
+        )
+        envelope = json.loads(path.read_text())
+        envelope["payload"] = {
+            "format": 1,
+            "complete": False,
+            "phase": "ingest",
+            "rows_done": hiring.n_rows,
+            "accumulator": accumulator_state(hiring),
+        }
+        state = envelope["payload"]["accumulator"]
+        replaced = edit(state)
+        if replaced is not None:
+            envelope["payload"]["accumulator"] = replaced
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="wrong layout") as excinfo:
+            audit_subgroups(
+                hiring.labels(), hiring, scan_config=scan,
+                checkpoint_path=path, resume=True,
+            )
+        _assert_checkpoint_error(excinfo, path)
+
+
+def accumulator_state(dataset) -> dict:
+    """The counts a scan of ``dataset`` checkpoints after its ingest."""
+    from repro.subgroup.search import _ingest_range
+
+    attributes = dataset.schema.protected_names
+    accumulator = AuditAccumulator(attributes, label=None)
+    _ingest_range(
+        accumulator, dataset, attributes, dataset.labels(), 0,
+        dataset.n_rows,
+    )
+    return accumulator.to_dict()

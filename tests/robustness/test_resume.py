@@ -6,12 +6,17 @@ uninterrupted run.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import CheckpointError
+from repro.subgroup import search
 from repro.subgroup.auditor import audit_subgroups
+
+SCAN = ScanConfig(max_order=2, min_size=10)
 
 
 class Killed(RuntimeError):
@@ -26,7 +31,7 @@ def data():
 @pytest.fixture(scope="module")
 def baseline(data):
     """The uninterrupted scan every resumed scan must reproduce."""
-    return audit_subgroups(data.labels(), data, max_order=2, min_size=10)
+    return audit_subgroups(data.labels(), data, scan_config=SCAN)
 
 
 def finding_keys(findings):
@@ -52,14 +57,16 @@ class TestResumeEquivalence:
         ckpt = tmp_path / "scan.ckpt.json"
         with pytest.raises(Killed):
             audit_subgroups(
-                data.labels(), data, max_order=2, min_size=10,
-                checkpoint_path=ckpt, checkpoint_every=every,
+                data.labels(), data,
+                scan_config=SCAN.replace(checkpoint_every=every),
+                checkpoint_path=ckpt,
                 on_progress=kill_after(kill_at),
             )
         assert ckpt.exists()
         resumed = audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
-            checkpoint_path=ckpt, checkpoint_every=every, resume=True,
+            data.labels(), data,
+            scan_config=SCAN.replace(checkpoint_every=every),
+            checkpoint_path=ckpt, resume=True,
         )
         assert finding_keys(resumed) == finding_keys(baseline)
 
@@ -68,11 +75,11 @@ class TestResumeEquivalence:
     ):
         ckpt = tmp_path / "scan.ckpt.json"
         audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
+            data.labels(), data, scan_config=SCAN,
             checkpoint_path=ckpt,
         )
         resumed = audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
+            data.labels(), data, scan_config=SCAN,
             checkpoint_path=ckpt, resume=True,
         )
         assert finding_keys(resumed) == finding_keys(baseline)
@@ -81,62 +88,79 @@ class TestResumeEquivalence:
         self, data, baseline, tmp_path
     ):
         findings = audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
+            data.labels(), data, scan_config=SCAN,
             checkpoint_path=tmp_path / "never-written.json", resume=True,
         )
         assert finding_keys(findings) == finding_keys(baseline)
 
-    def test_resume_skips_completed_work(self, data, tmp_path):
+    def test_resume_skips_completed_work(self, data, tmp_path, monkeypatch):
         ckpt = tmp_path / "scan.ckpt.json"
         with pytest.raises(Killed):
             audit_subgroups(
-                data.labels(), data, max_order=2, min_size=10,
-                checkpoint_path=ckpt, checkpoint_every=1,
-                on_progress=kill_after(6),
+                data.labels(), data,
+                scan_config=SCAN.replace(checkpoint_every=1),
+                checkpoint_path=ckpt, on_progress=kill_after(6),
             )
+        ingested = []
+        real_ingest = search._ingest_range
+
+        def counting_ingest(*args, **kwargs):
+            ingested.append(args[4:6])
+            return real_ingest(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_ingest_range", counting_ingest)
         evaluations = []
         audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
-            checkpoint_path=ckpt, checkpoint_every=1, resume=True,
+            data.labels(), data,
+            scan_config=SCAN.replace(checkpoint_every=1),
+            checkpoint_path=ckpt, resume=True,
             on_progress=lambda done, total: evaluations.append(done),
         )
-        # only the post-checkpoint tail was re-evaluated
-        assert evaluations[0] == 7
+        # the checkpoint already holds every row's counts: the resumed
+        # run reads no rows and re-scores the whole lattice from them
+        assert ingested == []
+        assert evaluations == list(range(1, len(evaluations) + 1))
+        audit_subgroups(
+            data.labels(), data, scan_config=SCAN,
+            checkpoint_path=tmp_path / "fresh.json",
+        )
+        assert ingested == [(0, data.n_rows)]
 
 
 class TestCheckpointSafety:
     def test_resume_requires_checkpoint_path(self, data):
         with pytest.raises(CheckpointError, match="checkpoint_path"):
             audit_subgroups(
-                data.labels(), data, max_order=2, min_size=10, resume=True
+                data.labels(), data, scan_config=SCAN, resume=True
             )
 
     def test_corrupt_checkpoint_refused(self, data, tmp_path):
         ckpt = tmp_path / "scan.ckpt.json"
         with pytest.raises(Killed):
             audit_subgroups(
-                data.labels(), data, max_order=2, min_size=10,
-                checkpoint_path=ckpt, checkpoint_every=1,
+                data.labels(), data,
+                scan_config=SCAN.replace(checkpoint_every=1),
+                checkpoint_path=ckpt,
                 on_progress=kill_after(4),
             )
         text = ckpt.read_text()
         ckpt.write_text(text[: len(text) // 2])  # simulated torn write
         with pytest.raises(CheckpointError, match="byte offset"):
             audit_subgroups(
-                data.labels(), data, max_order=2, min_size=10,
+                data.labels(), data, scan_config=SCAN,
                 checkpoint_path=ckpt, resume=True,
             )
 
     def test_checkpoint_from_different_dataset_refused(self, data, tmp_path):
         ckpt = tmp_path / "scan.ckpt.json"
         audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
+            data.labels(), data, scan_config=SCAN,
             checkpoint_path=ckpt,
         )
         other = make_intersectional(n=1500, random_state=99)
         with pytest.raises(CheckpointError, match="different run"):
             audit_subgroups(
-                other.labels(), other, max_order=2, min_size=10,
+                other.labels(), other, scan_config=SCAN,
                 checkpoint_path=ckpt, resume=True,
             )
 
@@ -145,27 +169,31 @@ class TestCheckpointSafety:
     ):
         ckpt = tmp_path / "scan.ckpt.json"
         audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
+            data.labels(), data, scan_config=SCAN,
             checkpoint_path=ckpt,
         )
         with pytest.raises(CheckpointError, match="different run"):
             audit_subgroups(
-                data.labels(), data, max_order=1, min_size=10,
+                data.labels(), data, scan_config=SCAN.replace(max_order=1),
                 checkpoint_path=ckpt, resume=True,
             )
 
-    def test_checkpoint_is_valid_json_at_every_interval(self, data, tmp_path):
+    def test_checkpoint_is_valid_json_at_every_interval(
+        self, data, tmp_path, monkeypatch
+    ):
         ckpt = tmp_path / "scan.ckpt.json"
         seen = []
+        real_save = search.save_checkpoint
 
-        def check(evaluated, total):
-            if ckpt.exists():
-                payload = json.loads(ckpt.read_text())
-                seen.append(payload["payload"]["next_index"])
+        def save_and_read(path, payload, fingerprint=""):
+            real_save(path, payload, fingerprint=fingerprint)
+            seen.append(json.loads(Path(path).read_text())["payload"])
 
+        monkeypatch.setattr(search, "_INGEST_CHUNK_ROWS", 400)
+        monkeypatch.setattr(search, "save_checkpoint", save_and_read)
         audit_subgroups(
-            data.labels(), data, max_order=2, min_size=10,
-            checkpoint_path=ckpt, checkpoint_every=2, on_progress=check,
+            data.labels(), data, scan_config=SCAN, checkpoint_path=ckpt,
         )
-        assert seen  # checkpoints were written and parseable mid-run
-        assert seen == sorted(seen)
+        # one parseable counts checkpoint per ingest chunk, then the result
+        assert [p["rows_done"] for p in seen[:-1]] == [400, 800, 1200, 1500]
+        assert seen[-1]["complete"] is True

@@ -1,14 +1,14 @@
 """Kill-at-every-save resume, as properties over generated scans.
 
-Both subgroup scanners must resume a killed run to exactly what an
+Every subgroup scan — ``audit_subgroups`` and ``scan_subgroups`` under
+each strategy — must resume a killed run to exactly what an
 uninterrupted run produces: the same findings, the same flagged set,
 and byte-identical final checkpoint files — whether the kill landed
 after the first save, the last, or any in between, and whether the
-killed and the resuming run were serial or ``jobs=2``.  The exhaustive
-scanner keeps its findings in an append-only log next to a small
-envelope; every corruption of either that reaches the committed state
-must fail closed with a :class:`~repro.exceptions.CheckpointError`,
-never a raw ``KeyError``/``JSONDecodeError``/``IndexError``.
+killed and the resuming run were serial or ``jobs=2``.  A damaged
+checkpoint, or one in a retired layout, must fail closed with a
+:class:`~repro.exceptions.CheckpointError`, never a raw
+``KeyError``/``JSONDecodeError``/``IndexError``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.config import ScanConfig
 from repro.data import Column, Schema, TabularDataset
 from repro.exceptions import CheckpointError
 from repro.robustness import checkpoint as checkpoint_module
-from repro.robustness.checkpoint import AppendLog, LoggedCheckpoint
 from repro.streaming.accumulator import AuditAccumulator
 from repro.subgroup import (
     adjust_for_multiple_testing,
@@ -37,7 +36,6 @@ from repro.subgroup import (
     scan_subgroups,
 )
 from repro.subgroup import search as search_module
-from repro.subgroup.auditor import FINDINGS_LOG_SUFFIX
 
 
 class Killed(RuntimeError):
@@ -113,7 +111,7 @@ def _kill_after(owner, name: str, k: int | None):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scanner: envelope + findings log
+# audit_subgroups: the exhaustive scan through its keyword front
 # ---------------------------------------------------------------------------
 
 
@@ -129,40 +127,33 @@ def _audit(dataset, path, every, jobs, *, resume=False):
     )
 
 
-def _files(path: Path) -> tuple[bytes, bytes]:
-    log = Path(f"{path}{FINDINGS_LOG_SUFFIX}")
-    return path.read_bytes(), log.read_bytes()
-
-
 class TestExhaustiveResume:
     @given(
         seed=st.sampled_from(sorted(DATASETS)),
         every=st.integers(1, 6),
+        chunk_rows=st.integers(100, 500),
         jobs_killed=st.sampled_from([1, 2]),
         jobs_resumed=st.sampled_from([1, 2]),
-        junk=st.binary(max_size=40),
     )
     @settings(max_examples=8, deadline=None)
     def test_kill_after_every_save_resumes_byte_identically(
-        self, seed, every, jobs_killed, jobs_resumed, junk
+        self, seed, every, chunk_rows, jobs_killed, jobs_resumed
     ):
         dataset = DATASETS[seed]
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            search_module, "_INGEST_CHUNK_ROWS", chunk_rows
+        ):
             tmp = Path(tmp)
             full_path = tmp / "full.json"
-            with _kill_after(LoggedCheckpoint, "save", None) as saves:
+            with _kill_after(search_module, "save_checkpoint", None) as saves:
                 full = _audit(dataset, full_path, every, jobs_killed)
-            expected_files = _files(full_path)
-            assert saves[0] >= 1
+            expected = full_path.read_bytes()
+            assert saves[0] >= 2  # at least one ingest save and the result
             for k in range(1, saves[0] + 1):
                 path = tmp / f"killed-{k}.json"
-                with _kill_after(LoggedCheckpoint, "save", k):
+                with _kill_after(search_module, "save_checkpoint", k):
                     with pytest.raises(Killed):
                         _audit(dataset, path, every, jobs_killed)
-                # a kill between the log append and the envelope swap
-                # leaves records past the committed count: resume cuts them
-                with open(f"{path}{FINDINGS_LOG_SUFFIX}", "ab") as log:
-                    log.write(junk)
                 resumed = _audit(
                     dataset, path, every, jobs_resumed, resume=True
                 )
@@ -170,14 +161,15 @@ class TestExhaustiveResume:
                 assert _flagged(
                     adjust_for_multiple_testing(resumed)
                 ) == _flagged(adjust_for_multiple_testing(full))
-                assert _files(path) == expected_files
+                assert path.read_bytes() == expected
 
 
 def _killed_checkpoint(tmp: Path, dataset, k: int) -> Path:
     path = tmp / "scan.json"
-    with _kill_after(LoggedCheckpoint, "save", k):
-        with pytest.raises(Killed):
-            _audit(dataset, path, 2, 1)
+    with mock.patch.object(search_module, "_INGEST_CHUNK_ROWS", 100):
+        with _kill_after(search_module, "save_checkpoint", k):
+            with pytest.raises(Killed):
+                _audit(dataset, path, 2, 1)
     return path
 
 
@@ -190,45 +182,8 @@ def _resume_outcome(dataset, path):
 
 
 class TestFindingsLogCorruption:
-    @given(
-        k=st.integers(2, 10),
-        cut=st.floats(0.0, 1.0, exclude_max=True),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_truncated_log_fails_closed(self, k, cut):
-        dataset = DATASETS[0]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _killed_checkpoint(Path(tmp), dataset, k)
-            log = Path(f"{path}{FINDINGS_LOG_SUFFIX}")
-            data = log.read_bytes()
-            log.write_bytes(data[: int(len(data) * cut)])
-            outcome = _resume_outcome(dataset, path)
-            assert isinstance(outcome, CheckpointError)
-
-    @given(
-        k=st.integers(2, 10),
-        where=st.floats(0.0, 1.0, exclude_max=True),
-        flip=st.integers(1, 255),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_flipped_log_byte_fails_closed(self, k, where, flip):
-        dataset = DATASETS[0]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _killed_checkpoint(Path(tmp), dataset, k)
-            log = Path(f"{path}{FINDINGS_LOG_SUFFIX}")
-            data = bytearray(log.read_bytes())
-            data[int(len(data) * where)] ^= flip
-            log.write_bytes(bytes(data))
-            assert isinstance(_resume_outcome(dataset, path), CheckpointError)
-
-    @given(k=st.integers(2, 10), blob=st.binary(max_size=300))
-    @settings(max_examples=25, deadline=None)
-    def test_random_log_bytes_fail_closed(self, k, blob):
-        dataset = DATASETS[0]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _killed_checkpoint(Path(tmp), dataset, k)
-            Path(f"{path}{FINDINGS_LOG_SUFFIX}").write_bytes(blob)
-            assert isinstance(_resume_outcome(dataset, path), CheckpointError)
+    """Damaged checkpoints, and the layouts that kept findings in the
+    checkpoint or a ``.findings`` log beside it, fail closed."""
 
     @given(
         k=st.integers(1, 10),
@@ -248,44 +203,49 @@ class TestFindingsLogCorruption:
                 path.write_bytes(blob)
             assert isinstance(_resume_outcome(dataset, path), CheckpointError)
 
-    def test_missing_log_fails_closed(self, tmp_path):
-        path = _killed_checkpoint(tmp_path, DATASETS[0], 3)
-        Path(f"{path}{FINDINGS_LOG_SUFFIX}").unlink()
-        with pytest.raises(CheckpointError, match="missing"):
-            _audit(DATASETS[0], path, 2, 1, resume=True)
-
-    def test_short_log_fails_closed(self, tmp_path):
-        path = _killed_checkpoint(tmp_path, DATASETS[0], 3)
-        log = Path(f"{path}{FINDINGS_LOG_SUFFIX}")
-        lines = log.read_bytes().splitlines(keepends=True)
-        log.write_bytes(b"".join(lines[:-1]))
-        with pytest.raises(CheckpointError, match="short log"):
-            _audit(DATASETS[0], path, 2, 1, resume=True)
-
-    def test_digest_mismatch_fails_closed(self, tmp_path):
-        # a log that parses but is not the one the envelope committed
-        path = _killed_checkpoint(tmp_path, DATASETS[0], 3)
-        log = Path(f"{path}{FINDINGS_LOG_SUFFIX}")
-        lines = log.read_bytes().splitlines(keepends=True)
-        log.write_bytes(b"".join([lines[1], lines[0], *lines[2:]]))
-        with pytest.raises(CheckpointError, match="sha256"):
-            _audit(DATASETS[0], path, 2, 1, resume=True)
+    @staticmethod
+    def _retired(path: Path, payload: dict) -> None:
+        """Rewrite ``path`` with ``payload`` under its own fingerprint, so
+        only the layout can refuse it."""
+        fingerprint = json.loads(path.read_text())["fingerprint"]
+        checkpoint_module.save_checkpoint(path, payload, fingerprint)
 
     def test_inline_findings_layout_refused(self, tmp_path):
-        # the layout before the findings log: every finding inline
+        # the first layout: every finding inline in the envelope
         path = _killed_checkpoint(tmp_path, DATASETS[0], 3)
-        payload = checkpoint_module.load_checkpoint(path)
-        records = AppendLog(f"{path}{FINDINGS_LOG_SUFFIX}").replay()
-        legacy = {
-            "next_index": payload["next_index"],
-            "total": payload["total"],
-            "complete": payload["complete"],
-            "findings": records,
-        }
-        fingerprint = json.loads(path.read_text())["fingerprint"]
-        checkpoint_module.save_checkpoint(path, legacy, fingerprint)
+        full = _audit(DATASETS[0], tmp_path / "full.json", 2, 1)
+        self._retired(path, {
+            "next_index": 4,
+            "total": 36,
+            "complete": False,
+            "findings": [
+                {"conditions": [list(c) for c in f.subgroup.conditions],
+                 "p_value": f.p_value}
+                for f in full[:4]
+            ],
+        })
         with pytest.raises(CheckpointError, match="wrong layout"):
             _audit(DATASETS[0], path, 2, 1, resume=True)
+
+    def test_findings_log_layout_refused(self, tmp_path):
+        # the second layout: a small envelope naming a .findings log
+        path = _killed_checkpoint(tmp_path, DATASETS[0], 3)
+        log = Path(f"{path}.findings")
+        log.write_bytes(b'{"p_value": 0.5}\n')
+        for next_index, complete in ((4, False), (36, True)):
+            self._retired(path, {
+                "next_index": next_index,
+                "total": 36,
+                "complete": complete,
+                "log_records": 1,
+                "log_sha256": "0" * 64,
+            })
+            with pytest.raises(CheckpointError, match="wrong layout"):
+                _audit(DATASETS[0], path, 2, 1, resume=True)
+        # a fresh run is not confused by the leftover log
+        assert _keys(_audit(DATASETS[0], path, 2, 1)) == _keys(
+            _audit(DATASETS[0], tmp_path / "fresh.json", 2, 1)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +305,30 @@ class TestScanSubgroupsResume:
 
 
 class TestCheckpointCost:
-    def test_exhaustive_bytes_linear_in_findings(self, tmp_path):
-        written = {"envelope": 0, "log": 0, "saves": 0}
-        atomic = checkpoint_module.atomic_write_text
-        append = AppendLog.append
+    def test_exhaustive_saves_do_not_scale_with_scoring_batches(
+        self, tmp_path
+    ):
+        # checkpoints follow ingest chunks: one counts save per chunk and
+        # one result save, however small the scoring batch
+        written = {}
+        for every in (1, 64):
+            saves = []
+            atomic = checkpoint_module.atomic_write_text
 
-        def count_envelope(path, text):
-            written["envelope"] += len(text.encode())
-            written["saves"] += 1
-            return atomic(path, text)
+            def count_envelope(path, text, saves=saves, atomic=atomic):
+                saves.append(len(text.encode()))
+                return atomic(path, text)
 
-        def count_log(self, records):
-            data = append(self, records)
-            written["log"] += len(data)
-            return data
-
-        path = tmp_path / "scan.json"
-        with mock.patch.object(
-            checkpoint_module, "atomic_write_text", count_envelope
-        ), mock.patch.object(AppendLog, "append", count_log):
-            findings = _audit(DATASETS[0], path, 1, 1)
-        envelope, log = _files(path)
-        assert written["saves"] == 36  # one per subgroup at every=1
-        assert len(findings) > 20
-        # every finding is written once; each save adds one envelope
-        assert log.count(b"\n") == len(findings)
-        assert written["log"] == len(log)
-        assert written["envelope"] <= written["saves"] * (len(envelope) + 8)
+            with mock.patch.object(
+                checkpoint_module, "atomic_write_text", count_envelope
+            ), mock.patch.object(search_module, "_INGEST_CHUNK_ROWS", 300):
+                findings = _audit(
+                    DATASETS[0], tmp_path / f"scan-{every}.json", every, 1
+                )
+            assert len(findings) > 20
+            written[every] = saves
+        assert len(written[1]) == 900 // 300 + 1
+        assert written[1] == written[64]
 
     def test_best_first_serialises_the_accumulator_once(self, tmp_path):
         calls = []

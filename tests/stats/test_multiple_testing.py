@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import AuditError, ValidationError
 from repro.stats import benjamini_hochberg, holm_bonferroni
@@ -75,7 +76,8 @@ class TestSubgroupIntegration:
     def findings(self):
         ds = make_intersectional(n=6000, subgroup_penalty=0.3, random_state=0)
         return audit_subgroups(
-            ds.labels(), ds, attributes=["gender", "race"], max_order=2
+            ds.labels(), ds, attributes=["gender", "race"],
+            scan_config=ScanConfig(max_order=2),
         )
 
     def test_adjustment_attaches_values(self, findings):

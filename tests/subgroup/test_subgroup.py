@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import AuditError, ValidationError
 from repro.subgroup import (
@@ -80,7 +81,8 @@ class TestAuditSubgroups:
     def test_crossed_subgroups_most_disparate(self, intersectional):
         findings = audit_subgroups(
             intersectional.labels(), intersectional,
-            attributes=["gender", "race"], max_order=2,
+            attributes=["gender", "race"],
+            scan_config=ScanConfig(max_order=2),
         )
         # top findings (by |gap|) must be the order-2 crossed subgroups
         top_labels = {f.subgroup.label() for f in findings[:4]}
@@ -90,14 +92,16 @@ class TestAuditSubgroups:
     def test_marginal_subgroups_near_parity(self, intersectional):
         findings = audit_subgroups(
             intersectional.labels(), intersectional,
-            attributes=["gender", "race"], max_order=1,
+            attributes=["gender", "race"],
+            scan_config=ScanConfig(max_order=1),
         )
         assert all(abs(f.gap) < 0.05 for f in findings)
 
     def test_disadvantaged_crossed_groups_significant(self, intersectional):
         findings = audit_subgroups(
             intersectional.labels(), intersectional,
-            attributes=["gender", "race"], max_order=2,
+            attributes=["gender", "race"],
+            scan_config=ScanConfig(max_order=2),
         )
         crossed = [
             f for f in findings
@@ -116,7 +120,8 @@ class TestAuditSubgroups:
     def test_min_size_excludes_sparse(self, intersectional):
         findings = audit_subgroups(
             intersectional.labels(), intersectional,
-            attributes=["gender", "race"], min_size=10**9,
+            attributes=["gender", "race"],
+            scan_config=ScanConfig(min_size=10**9),
         )
         assert findings == []
 
