@@ -3,19 +3,22 @@
 Two comparisons against slow reference code:
 
 * the full audit battery on 80k rows through the joint-contingency
-  engine vs the original per-group masking loops kept verbatim behind
-  the ``"reference"`` backend (regression guard: kernel ≥ 3× faster);
+  engine vs the original per-group masking loops, kept verbatim in the
+  test oracle and swapped into the audit by
+  :func:`tests.oracle.reference_battery` (regression guard: kernel ≥ 3×
+  faster);
 * the subgroup scan on 80k rows with 4 protected attributes (order ≤ 4,
   ~4k subgroups) serial vs ``jobs=4`` (regression guard: parallel ≥
   1.5× faster, findings byte-identical), plus the time of the
-  per-subgroup reference scan (``tests/subgroup/reference_scan.py``),
-  whose findings must match too.
+  per-subgroup reference scan (``tests/oracle/subgroup.py``, scored with
+  the oracle's scalar tests), whose findings must match too.
 
 Results land in ``BENCH_P1.json`` (uploaded by the CI benchmark job).
 """
 
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,11 +26,11 @@ import pytest
 from repro.core import FairnessAudit
 from repro.core.config import ScanConfig
 from repro.data import Column, Schema, TabularDataset, make_hiring
-from repro.kernel import use_backend
 from repro.subgroup import audit_subgroups
 
 from benchmarks.conftest import report, write_bench_json
-from tests.subgroup.reference_scan import reference_findings
+from tests.oracle import reference_battery
+from tests.oracle.subgroup import reference_findings
 
 N_ROWS = 80_000
 BATTERY_REPEATS = 3
@@ -35,6 +38,7 @@ SCAN_ATTRIBUTES = {"region": 8, "language": 8, "age_band": 6, "origin": 6}
 
 
 def _battery_seconds(backend: str) -> float:
+    battery = reference_battery if backend == "reference" else nullcontext
     best = float("inf")
     for repeat in range(BATTERY_REPEATS):
         # A fresh dataset per repeat keeps every kernel cache cold, so the
@@ -43,7 +47,7 @@ def _battery_seconds(backend: str) -> float:
             n=N_ROWS, direct_bias=1.5, proxy_strength=0.8,
             random_state=repeat,
         )
-        with use_backend(backend):
+        with battery():
             start = time.perf_counter()
             FairnessAudit(data, tolerance=0.05, strata="university").run()
             best = min(best, time.perf_counter() - start)
@@ -79,12 +83,9 @@ def _scan_seconds(data, predictions, jobs: int) -> tuple:
 
 def _reference_scan_seconds(data, predictions) -> tuple:
     """The per-subgroup mask-and-test oracle, timed for the trajectory."""
-    with use_backend("reference"):
-        start = time.perf_counter()
-        findings = reference_findings(
-            predictions, data, max_order=4, min_size=50
-        )
-        return time.perf_counter() - start, findings
+    start = time.perf_counter()
+    findings = reference_findings(predictions, data, max_order=4, min_size=50)
+    return time.perf_counter() - start, findings
 
 
 def _signature(findings) -> list:

@@ -1,7 +1,7 @@
 """P2 — stats: batched inference vs the scalar reference loop.
 
 Three comparisons, each against the pre-batch scalar code kept verbatim
-in :mod:`repro.stats._reference`:
+in the test oracle :mod:`tests.oracle.stats`:
 
 * significance scoring (z-test + Wilson interval) for 4,000 subgroup
   count pairs — one :func:`batch_score_counts` call vs a Python loop
@@ -27,9 +27,8 @@ from repro.stats import (
     batch_permutation_test,
     batch_score_counts,
 )
-from repro.stats import _reference
-
 from benchmarks.conftest import report, write_bench_json
+from tests.oracle import stats as _reference
 
 N_SUBGROUPS = 4_000
 N_RESAMPLES = 2_000

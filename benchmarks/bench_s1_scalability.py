@@ -7,19 +7,21 @@ scaling — the audit itself must not become the bottleneck it warns
 about.
 
 Since the kernel layer (ISSUE 3) the battery reads every group count
-from one shared contingency tensor; the bench therefore reports both
-backends (the reference path only up to 80k rows — it is the "before"
-row) and emits the rows into ``BENCH_S1.json`` for the cross-PR
-trajectory.
+from one shared contingency tensor; the bench therefore reports it next
+to the pre-kernel battery of the test oracle
+(:func:`tests.oracle.reference_battery`, only up to 80k rows — it is the
+"before" row) and emits the rows into ``BENCH_S1.json`` for the
+cross-PR trajectory.
 """
 
 import time
+from contextlib import nullcontext
 
 from repro.core import FairnessAudit
 from repro.data import make_hiring
-from repro.kernel import use_backend
 
 from benchmarks.conftest import report, write_bench_json
+from tests.oracle import reference_battery
 
 SIZES = (5_000, 20_000, 80_000, 320_000)
 REFERENCE_SIZES = (5_000, 20_000, 80_000)
@@ -29,7 +31,8 @@ def _run_audit(n: int, backend: str) -> float:
     data = make_hiring(
         n=n, direct_bias=1.5, proxy_strength=0.8, random_state=0
     )
-    with use_backend(backend):
+    battery = reference_battery if backend == "reference" else nullcontext
+    with battery():
         start = time.perf_counter()
         FairnessAudit(data, tolerance=0.05, strata="university").run()
         return time.perf_counter() - start

@@ -35,10 +35,8 @@ from repro.core.metrics import (
 from repro.core.types import ConditionalMetricResult, MetricResult
 from repro.data.dataset import TabularDataset
 from repro.exceptions import AuditError, InsufficientDataError, MetricError
-from repro.kernel import get_backend
 from repro.observability.provenance import ProvenanceRecord
 from repro.robustness import ExecutionPolicy, StageRunner
-from repro.stats.tests import min_detectable_gap
 
 __all__ = [
     "AuditFinding",
@@ -291,46 +289,40 @@ def intersection_column(
     """
     if len(attributes) < 2:
         raise AuditError("intersection requires at least two attributes")
-    if get_backend() == "kernel":
-        # Concatenate the (few) category labels, not the (many) rows:
-        # one lookup-table index per row instead of per-row string joins.
-        tables = [dataset.codes(a) for a in attributes]
-        labels = tables[0].categories_array.astype(str)
-        codes = tables[0].codes
-        for table in tables[1:]:
-            part = table.categories_array.astype(str)
-            labels = np.char.add(
-                np.char.add(labels[:, None], separator), part[None, :]
-            ).ravel()
-            codes = codes * table.n_categories + table.codes
-        combined = labels[codes]
-        # Pre-register the combined column's CodeTable, derived from the
-        # (few) cross-product labels instead of the (many) rows: without
-        # it, the first metric over `combined` np.unique-sorts an n-row
-        # string array — the dominant time *and* transient-memory cost
-        # of a large audit.  The table must match what encode(combined)
-        # would build bit for bit: only categories present in the rows,
-        # in repr-sorted order.
-        from repro.kernel.codes import CodeTable, cache_put
+    # Concatenate the (few) category labels, not the (many) rows:
+    # one lookup-table index per row instead of per-row string joins.
+    tables = [dataset.codes(a) for a in attributes]
+    labels = tables[0].categories_array.astype(str)
+    codes = tables[0].codes
+    for table in tables[1:]:
+        part = table.categories_array.astype(str)
+        labels = np.char.add(
+            np.char.add(labels[:, None], separator), part[None, :]
+        ).ravel()
+        codes = codes * table.n_categories + table.codes
+    combined = labels[codes]
+    # Pre-register the combined column's CodeTable, derived from the
+    # (few) cross-product labels instead of the (many) rows: without
+    # it, the first metric over `combined` np.unique-sorts an n-row
+    # string array — the dominant time *and* transient-memory cost
+    # of a large audit.  The table must match what encode(combined)
+    # would build bit for bit: only categories present in the rows,
+    # in repr-sorted order.
+    from repro.kernel.codes import CodeTable, cache_put
 
-        present = np.bincount(codes, minlength=len(labels)) > 0
-        uniques = np.sort(labels[present])
-        unique_list = uniques.tolist()
-        order = sorted(
-            range(len(unique_list)), key=lambda i: repr(unique_list[i])
-        )
-        cats = [unique_list[i] for i in order]
-        positions = {category: code for code, category in enumerate(cats)}
-        remap = np.full(len(labels), -1, dtype=np.int64)
-        for label_index in np.flatnonzero(present):
-            remap[label_index] = positions[labels[label_index]]
-        table = CodeTable(cats, uniques[order], remap[codes])
-        cache_put((combined,), ("codes", None), table)
-        return combined
-    parts = [dataset.column(a).astype(str) for a in attributes]
-    combined = parts[0]
-    for part in parts[1:]:
-        combined = np.char.add(np.char.add(combined, separator), part)
+    present = np.bincount(codes, minlength=len(labels)) > 0
+    uniques = np.sort(labels[present])
+    unique_list = uniques.tolist()
+    order = sorted(
+        range(len(unique_list)), key=lambda i: repr(unique_list[i])
+    )
+    cats = [unique_list[i] for i in order]
+    positions = {category: code for code, category in enumerate(cats)}
+    remap = np.full(len(labels), -1, dtype=np.int64)
+    for label_index in np.flatnonzero(present):
+        remap[label_index] = positions[labels[label_index]]
+    table = CodeTable(cats, uniques[order], remap[codes])
+    cache_put((combined,), ("codes", None), table)
     return combined
 
 
@@ -566,22 +558,7 @@ class FairnessAudit:
 
     def _power_note(self, attribute: str) -> dict:
         """Minimum detectable gap for this attribute's two largest groups."""
-        if get_backend() == "kernel":
-            return dict(self._power_note_table().get(attribute, {}))
-        _values, counts = np.unique(
-            self.dataset.column(attribute), return_counts=True
-        )
-        if len(counts) < 2:
-            return {}
-        top = np.sort(counts)[-2:]
-        base_rate = self._power_base_rate()
-        return {
-            "n_a": int(top[1]),
-            "n_b": int(top[0]),
-            "min_detectable_gap": min_detectable_gap(
-                int(top[1]), int(top[0]), base_rate=base_rate
-            ),
-        }
+        return dict(self._power_note_table().get(attribute, {}))
 
     def _power_base_rate(self) -> float:
         base_rate = float(np.mean(self.predictions))
@@ -593,8 +570,9 @@ class FairnessAudit:
         Group sizes come from the cached kernel code tables and the
         minimum detectable gaps for all attributes are computed with a
         single :func:`~repro.stats.batch.batch_min_detectable_gap` —
-        values bit-identical to the per-attribute scalar path kept on
-        the ``"reference"`` backend.  Cached for the audit's lifetime.
+        values bit-identical to a per-attribute scalar
+        :func:`~repro.stats.tests.min_detectable_gap`.  Cached for the
+        audit's lifetime.
         """
         if self._power_notes_cache is not None:
             return self._power_notes_cache

@@ -51,7 +51,7 @@ from repro.core.types import (
     build_result,
 )
 from repro.exceptions import InsufficientDataError, MetricError
-from repro.kernel import codes_for, get_backend, group_counts, stratified_counts
+from repro.kernel import codes_for, group_counts, stratified_counts
 from repro.models.calibration import expected_calibration_error
 from repro.stats.tests import TestResult, chi_square_independence, two_proportion_z_test
 
@@ -73,47 +73,20 @@ __all__ = [
 ]
 
 
-def _group_order(groups: np.ndarray) -> list:
-    """Deterministic group ordering (sorted by repr for mixed types)."""
-    return sorted(np.unique(groups).tolist(), key=repr)
-
-
 def _rate_stats(
-    predictions: np.ndarray,
-    groups: np.ndarray,
-    metric: str,
-    selector: np.ndarray | None = None,
+    predictions: np.ndarray, groups: np.ndarray, metric: str
 ) -> list[GroupStats]:
-    """Per-group positive-prediction rates, optionally within a selector mask."""
-    if selector is None and get_backend() == "kernel":
-        counts = group_counts(groups, predictions)
-        stats = []
-        for group, n, positives in zip(counts.categories, counts.n, counts.pred_pos):
-            if n == 0:
-                raise InsufficientDataError(
-                    f"{metric}: group {group!r} has no members in the "
-                    "evaluated slice",
-                    group=group,
-                    count=0,
-                )
-            stats.append(
-                GroupStats(group=group, n=n, positives=positives, rate=positives / n)
-            )
-        return stats
+    """Per-group positive-prediction rates."""
+    counts = group_counts(groups, predictions)
     stats = []
-    for group in _group_order(groups):
-        mask = groups == group
-        if selector is not None:
-            mask = mask & selector
-        n = int(mask.sum())
+    for group, n, positives in zip(counts.categories, counts.n, counts.pred_pos):
         if n == 0:
             raise InsufficientDataError(
-                f"{metric}: group {group!r} has no members in the evaluated "
-                "slice",
+                f"{metric}: group {group!r} has no members in the "
+                "evaluated slice",
                 group=group,
                 count=0,
             )
-        positives = int(predictions[mask].sum())
         stats.append(
             GroupStats(group=group, n=n, positives=positives, rate=positives / n)
         )
@@ -139,12 +112,7 @@ def _validate_pair(predictions, protected) -> tuple[np.ndarray, np.ndarray]:
     check_same_length(("predictions", predictions), ("protected", protected))
     if len(predictions) == 0:
         raise MetricError("cannot evaluate a metric on empty inputs")
-    n_groups = (
-        codes_for(protected).n_categories
-        if get_backend() == "kernel"
-        else len(np.unique(protected))
-    )
-    if n_groups < 2:
+    if codes_for(protected).n_categories < 2:
         raise MetricError(
             "protected attribute must have at least two groups; got only "
             f"{np.unique(protected).tolist()}"
@@ -210,55 +178,35 @@ def conditional_statistical_parity(
 
     results: dict = {}
     skipped: list = []
-    if get_backend() == "kernel":
-        strat = stratified_counts(strata, protected, predictions)
-        for s_index, stratum in enumerate(strat.strata_table.categories):
-            cell = strat.counts[s_index]
-            sizes = cell.sum(axis=1)
-            if int(sizes.min()) < min_stratum_group_size:
-                skipped.append(stratum)
-                continue
-            stats = []
-            for g_index, group in enumerate(strat.group_table.categories):
-                n = int(sizes[g_index])
-                if n == 0:
-                    raise InsufficientDataError(
-                        f"conditional_statistical_parity: group {group!r} "
-                        "has no members in the evaluated slice",
-                        group=group,
-                        count=0,
-                    )
-                positives = int(cell[g_index, 1])
-                stats.append(
-                    GroupStats(
-                        group=group, n=n, positives=positives, rate=positives / n
-                    )
+    strat = stratified_counts(strata, protected, predictions)
+    for s_index, stratum in enumerate(strat.strata_table.categories):
+        cell = strat.counts[s_index]
+        sizes = cell.sum(axis=1)
+        if int(sizes.min()) < min_stratum_group_size:
+            skipped.append(stratum)
+            continue
+        stats = []
+        for g_index, group in enumerate(strat.group_table.categories):
+            n = int(sizes[g_index])
+            if n == 0:
+                raise InsufficientDataError(
+                    f"conditional_statistical_parity: group {group!r} "
+                    "has no members in the evaluated slice",
+                    group=group,
+                    count=0,
                 )
-            results[stratum] = build_result(
-                "conditional_statistical_parity",
-                stats,
-                tolerance,
-                EqualityConcept.EQUAL_OUTCOME,
+            positives = int(cell[g_index, 1])
+            stats.append(
+                GroupStats(
+                    group=group, n=n, positives=positives, rate=positives / n
+                )
             )
-    else:
-        for stratum in _group_order(strata):
-            selector = strata == stratum
-            group_sizes = [
-                int(((protected == g) & selector).sum())
-                for g in _group_order(protected)
-            ]
-            if min(group_sizes) < min_stratum_group_size:
-                skipped.append(stratum)
-                continue
-            stats = _rate_stats(
-                predictions, protected, "conditional_statistical_parity", selector
-            )
-            results[stratum] = build_result(
-                "conditional_statistical_parity",
-                stats,
-                tolerance,
-                EqualityConcept.EQUAL_OUTCOME,
-            )
+        results[stratum] = build_result(
+            "conditional_statistical_parity",
+            stats,
+            tolerance,
+            EqualityConcept.EQUAL_OUTCOME,
+        )
     if not results and skipped:
         raise InsufficientDataError(
             "conditional_statistical_parity: every stratum was skipped for "
@@ -296,35 +244,19 @@ def equal_opportunity(
     check_probability(tolerance, "tolerance")
 
     stats = []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for group, tp, fn in zip(counts.categories, counts.tp, counts.fn):
-            n = tp + fn
-            if n == 0:
-                raise InsufficientDataError(
-                    f"equal_opportunity: group {group!r} has no actual "
-                    "positives",
-                    group=group,
-                    count=0,
-                )
-            stats.append(
-                GroupStats(group=group, n=n, positives=tp, rate=tp / n)
+    counts = group_counts(protected, predictions, y_true)
+    for group, tp, fn in zip(counts.categories, counts.tp, counts.fn):
+        n = tp + fn
+        if n == 0:
+            raise InsufficientDataError(
+                f"equal_opportunity: group {group!r} has no actual "
+                "positives",
+                group=group,
+                count=0,
             )
-    else:
-        for group in _group_order(protected):
-            mask = (protected == group) & (y_true == 1)
-            n = int(mask.sum())
-            if n == 0:
-                raise InsufficientDataError(
-                    f"equal_opportunity: group {group!r} has no actual "
-                    "positives",
-                    group=group,
-                    count=0,
-                )
-            positives = int(predictions[mask].sum())
-            stats.append(
-                GroupStats(group=group, n=n, positives=positives, rate=positives / n)
-            )
+        stats.append(
+            GroupStats(group=group, n=n, positives=tp, rate=tp / n)
+        )
     significance = _significance(stats) if with_significance else None
     return build_result(
         "equal_opportunity",
@@ -357,59 +289,26 @@ def equalized_odds(
     check_probability(tolerance, "tolerance")
 
     tpr_stats, fpr_stats = [], []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for index, group in enumerate(counts.categories):
-            tp, fn = counts.tp[index], counts.fn[index]
-            fp, tn = counts.fp[index], counts.tn[index]
-            if tp + fn == 0:
-                raise InsufficientDataError(
-                    f"equalized_odds: group {group!r} has no actual positives",
-                    group=group,
-                )
-            if fp + tn == 0:
-                raise InsufficientDataError(
-                    f"equalized_odds: group {group!r} has no actual negatives",
-                    group=group,
-                )
-            tpr_stats.append(
-                GroupStats(group=group, n=tp + fn, positives=tp, rate=tp / (tp + fn))
+    counts = group_counts(protected, predictions, y_true)
+    for index, group in enumerate(counts.categories):
+        tp, fn = counts.tp[index], counts.fn[index]
+        fp, tn = counts.fp[index], counts.tn[index]
+        if tp + fn == 0:
+            raise InsufficientDataError(
+                f"equalized_odds: group {group!r} has no actual positives",
+                group=group,
             )
-            fpr_stats.append(
-                GroupStats(group=group, n=fp + tn, positives=fp, rate=fp / (fp + tn))
+        if fp + tn == 0:
+            raise InsufficientDataError(
+                f"equalized_odds: group {group!r} has no actual negatives",
+                group=group,
             )
-    else:
-        for group in _group_order(protected):
-            pos_mask = (protected == group) & (y_true == 1)
-            neg_mask = (protected == group) & (y_true == 0)
-            if not pos_mask.any():
-                raise InsufficientDataError(
-                    f"equalized_odds: group {group!r} has no actual positives",
-                    group=group,
-                )
-            if not neg_mask.any():
-                raise InsufficientDataError(
-                    f"equalized_odds: group {group!r} has no actual negatives",
-                    group=group,
-                )
-            tp = int(predictions[pos_mask].sum())
-            fp = int(predictions[neg_mask].sum())
-            tpr_stats.append(
-                GroupStats(
-                    group=group,
-                    n=int(pos_mask.sum()),
-                    positives=tp,
-                    rate=tp / int(pos_mask.sum()),
-                )
-            )
-            fpr_stats.append(
-                GroupStats(
-                    group=group,
-                    n=int(neg_mask.sum()),
-                    positives=fp,
-                    rate=fp / int(neg_mask.sum()),
-                )
-            )
+        tpr_stats.append(
+            GroupStats(group=group, n=tp + fn, positives=tp, rate=tp / (tp + fn))
+        )
+        fpr_stats.append(
+            GroupStats(group=group, n=fp + tn, positives=fp, rate=fp / (fp + tn))
+        )
 
     tpr_rates = [gs.rate for gs in tpr_stats]
     fpr_rates = [gs.rate for gs in fpr_stats]
@@ -507,54 +406,40 @@ def conditional_demographic_disparity(
 
     results: dict = {}
     skipped: list = []
-    if get_backend() == "kernel":
-        strat = stratified_counts(strata, protected, predictions)
-        for s_index, stratum in enumerate(strat.strata_table.categories):
-            cell = strat.counts[s_index]
-            sizes = cell.sum(axis=1)
-            if int(sizes.min()) < min_stratum_group_size:
-                skipped.append(stratum)
+    strat = stratified_counts(strata, protected, predictions)
+    for s_index, stratum in enumerate(strat.strata_table.categories):
+        cell = strat.counts[s_index]
+        sizes = cell.sum(axis=1)
+        if int(sizes.min()) < min_stratum_group_size:
+            skipped.append(stratum)
+            continue
+        # Inline demographic_disparity over the stratum's counts:
+        # groups absent from the stratum are omitted, as slicing does.
+        stats = []
+        for g_index, group in enumerate(strat.group_table.categories):
+            n = int(sizes[g_index])
+            if n == 0:
                 continue
-            # Inline demographic_disparity over the stratum's counts:
-            # groups absent from the stratum are omitted, as slicing does.
-            stats = []
-            for g_index, group in enumerate(strat.group_table.categories):
-                n = int(sizes[g_index])
-                if n == 0:
-                    continue
-                positives = int(cell[g_index, 1])
-                stats.append(
-                    GroupStats(
-                        group=group, n=n, positives=positives, rate=positives / n
-                    )
+            positives = int(cell[g_index, 1])
+            stats.append(
+                GroupStats(
+                    group=group, n=n, positives=positives, rate=positives / n
                 )
-            if not stats:
-                raise MetricError("cannot evaluate a metric on empty inputs")
-            shortfalls = {gs.group: max(0.0, 0.5 - gs.rate) for gs in stats}
-            worst = max(shortfalls.values())
-            results[stratum] = MetricResult(
-                metric="demographic_disparity",
-                group_stats=tuple(stats),
-                gap=float(worst),
-                ratio=float(min(gs.rate for gs in stats) / 0.5),
-                tolerance=float(tolerance),
-                satisfied=bool(worst <= tolerance + 1e-12),
-                equality_concept=EqualityConcept.EQUAL_OUTCOME,
-                details={"shortfalls": shortfalls},
             )
-    else:
-        for stratum in _group_order(strata):
-            selector = strata == stratum
-            group_sizes = [
-                int(((protected == g) & selector).sum())
-                for g in _group_order(protected)
-            ]
-            if min(group_sizes) < min_stratum_group_size:
-                skipped.append(stratum)
-                continue
-            results[stratum] = demographic_disparity(
-                predictions[selector], protected[selector], tolerance=tolerance
-            )
+        if not stats:
+            raise MetricError("cannot evaluate a metric on empty inputs")
+        shortfalls = {gs.group: max(0.0, 0.5 - gs.rate) for gs in stats}
+        worst = max(shortfalls.values())
+        results[stratum] = MetricResult(
+            metric="demographic_disparity",
+            group_stats=tuple(stats),
+            gap=float(worst),
+            ratio=float(min(gs.rate for gs in stats) / 0.5),
+            tolerance=float(tolerance),
+            satisfied=bool(worst <= tolerance + 1e-12),
+            equality_concept=EqualityConcept.EQUAL_OUTCOME,
+            details={"shortfalls": shortfalls},
+        )
     if not results and skipped:
         raise InsufficientDataError(
             "conditional_demographic_disparity: every stratum was skipped "
@@ -642,16 +527,11 @@ def calibration_within_groups(
 
     stats = []
     eces = {}
-    if get_backend() == "kernel":
-        # ECE itself stays on the per-group path (binned float means are
-        # order-sensitive); the kernel only supplies the cached masks.
-        table = codes_for(protected)
-        group_masks = [(group, table.mask(group)) for group in table.categories]
-    else:
-        group_masks = [
-            (group, protected == group) for group in _group_order(protected)
-        ]
-    for group, mask in group_masks:
+    # ECE itself stays on the per-group path (binned float means are
+    # order-sensitive); the kernel only supplies the cached masks.
+    table = codes_for(protected)
+    for group in table.categories:
+        mask = table.mask(group)
         n = int(mask.sum())
         if n == 0:
             raise InsufficientDataError(
@@ -696,29 +576,16 @@ def predictive_parity(
     check_probability(tolerance, "tolerance")
 
     stats = []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for group, tp, fp in zip(counts.categories, counts.tp, counts.fp):
-            n = tp + fp
-            if n == 0:
-                raise InsufficientDataError(
-                    f"predictive_parity: group {group!r} has no positive "
-                    "predictions",
-                    group=group,
-                )
-            stats.append(GroupStats(group=group, n=n, positives=tp, rate=tp / n))
-    else:
-        for group in _group_order(protected):
-            mask = (protected == group) & (predictions == 1)
-            n = int(mask.sum())
-            if n == 0:
-                raise InsufficientDataError(
-                    f"predictive_parity: group {group!r} has no positive "
-                    "predictions",
-                    group=group,
-                )
-            tp = int(y_true[mask].sum())
-            stats.append(GroupStats(group=group, n=n, positives=tp, rate=tp / n))
+    counts = group_counts(protected, predictions, y_true)
+    for group, tp, fp in zip(counts.categories, counts.tp, counts.fp):
+        n = tp + fp
+        if n == 0:
+            raise InsufficientDataError(
+                f"predictive_parity: group {group!r} has no positive "
+                "predictions",
+                group=group,
+            )
+        stats.append(GroupStats(group=group, n=n, positives=tp, rate=tp / n))
     return build_result(
         "predictive_parity",
         stats,
@@ -798,32 +665,17 @@ def treatment_equality(
     check_probability(tolerance, "tolerance")
 
     stats = []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for group, fn, fp in zip(counts.categories, counts.fn, counts.fp):
-            if fn + fp == 0:
-                raise InsufficientDataError(
-                    f"treatment_equality: group {group!r} has no errors to "
-                    "compare",
-                    group=group,
-                )
-            stats.append(GroupStats(
-                group=group, n=fn + fp, positives=fn, rate=fn / (fn + fp)
-            ))
-    else:
-        for group in _group_order(protected):
-            mask = protected == group
-            fn = int(np.sum(mask & (y_true == 1) & (predictions == 0)))
-            fp = int(np.sum(mask & (y_true == 0) & (predictions == 1)))
-            if fn + fp == 0:
-                raise InsufficientDataError(
-                    f"treatment_equality: group {group!r} has no errors to "
-                    "compare",
-                    group=group,
-                )
-            stats.append(GroupStats(
-                group=group, n=fn + fp, positives=fn, rate=fn / (fn + fp)
-            ))
+    counts = group_counts(protected, predictions, y_true)
+    for group, fn, fp in zip(counts.categories, counts.fn, counts.fp):
+        if fn + fp == 0:
+            raise InsufficientDataError(
+                f"treatment_equality: group {group!r} has no errors to "
+                "compare",
+                group=group,
+            )
+        stats.append(GroupStats(
+            group=group, n=fn + fp, positives=fn, rate=fn / (fn + fp)
+        ))
     return build_result(
         "treatment_equality",
         stats,
@@ -850,29 +702,16 @@ def false_positive_rate_parity(
     check_probability(tolerance, "tolerance")
 
     stats = []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for group, fp, tn in zip(counts.categories, counts.fp, counts.tn):
-            n = fp + tn
-            if n == 0:
-                raise InsufficientDataError(
-                    f"false_positive_rate_parity: group {group!r} has no "
-                    "actual negatives",
-                    group=group,
-                )
-            stats.append(GroupStats(group=group, n=n, positives=fp, rate=fp / n))
-    else:
-        for group in _group_order(protected):
-            mask = (protected == group) & (y_true == 0)
-            n = int(mask.sum())
-            if n == 0:
-                raise InsufficientDataError(
-                    f"false_positive_rate_parity: group {group!r} has no "
-                    "actual negatives",
-                    group=group,
-                )
-            fp = int(predictions[mask].sum())
-            stats.append(GroupStats(group=group, n=n, positives=fp, rate=fp / n))
+    counts = group_counts(protected, predictions, y_true)
+    for group, fp, tn in zip(counts.categories, counts.fp, counts.tn):
+        n = fp + tn
+        if n == 0:
+            raise InsufficientDataError(
+                f"false_positive_rate_parity: group {group!r} has no "
+                "actual negatives",
+                group=group,
+            )
+        stats.append(GroupStats(group=group, n=n, positives=fp, rate=fp / n))
     return build_result(
         "false_positive_rate_parity",
         stats,
@@ -899,32 +738,18 @@ def overall_accuracy_equality(
     check_probability(tolerance, "tolerance")
 
     stats = []
-    if get_backend() == "kernel":
-        counts = group_counts(protected, predictions, y_true)
-        for index, group in enumerate(counts.categories):
-            n = counts.n[index]
-            if n == 0:
-                raise InsufficientDataError(
-                    f"overall_accuracy_equality: group {group!r} empty",
-                    group=group,
-                )
-            correct = counts.tp[index] + counts.tn[index]
-            stats.append(GroupStats(
-                group=group, n=n, positives=correct, rate=correct / n
-            ))
-    else:
-        for group in _group_order(protected):
-            mask = protected == group
-            n = int(mask.sum())
-            if n == 0:
-                raise InsufficientDataError(
-                    f"overall_accuracy_equality: group {group!r} empty",
-                    group=group,
-                )
-            correct = int(np.sum(predictions[mask] == y_true[mask]))
-            stats.append(GroupStats(
-                group=group, n=n, positives=correct, rate=correct / n
-            ))
+    counts = group_counts(protected, predictions, y_true)
+    for index, group in enumerate(counts.categories):
+        n = counts.n[index]
+        if n == 0:
+            raise InsufficientDataError(
+                f"overall_accuracy_equality: group {group!r} empty",
+                group=group,
+            )
+        correct = counts.tp[index] + counts.tn[index]
+        stats.append(GroupStats(
+            group=group, n=n, positives=correct, rate=correct / n
+        ))
     return build_result(
         "overall_accuracy_equality",
         stats,

@@ -17,14 +17,16 @@ allows").  It has three parts:
   scoring from count pairs, merged in order so results stay
   byte-identical to serial.
 
-Everything is instrumented through the PR 2 metrics registry
+Everything is instrumented through the metrics registry
 (``kernel.cache_hit`` / ``kernel.cache_miss`` counters, the
-``kernel.contingency`` latency histogram), and the original slow paths
-remain available behind the ``"reference"`` backend
-(:func:`use_backend`) for equivalence testing and honest benchmarking.
+``kernel.contingency`` latency histogram).  The kernel is the only
+implementation in the library.  The per-group masking loops it replaced
+live outside it, as the test oracle in ``tests/oracle/``; the
+equivalence suites (``tests/perf/test_kernel_equivalence.py`` and
+``tests/streaming/test_equivalence.py``) and BENCH_P1/S1 compare
+against it.
 """
 
-from repro.kernel._backend import BACKENDS, get_backend, set_backend, use_backend
 from repro.kernel.codes import CategoryTable, CodeTable, clear_cache, codes_for, encode
 from repro.kernel.contingency import (
     GroupCounts,
@@ -46,10 +48,6 @@ from repro.kernel.parallel import (
 from repro.kernel.shm import attach_array, publish, release_all
 
 __all__ = [
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "CodeTable",
     "CategoryTable",
     "encode",

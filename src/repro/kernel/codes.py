@@ -1,8 +1,9 @@
 """Categorical code tables: encode once, mask lazily, cache by identity.
 
 Every group-wise computation in the library reduces to "which rows
-belong to category c of column A".  The reference implementation
-re-derives that from scratch (``np.unique`` + one equality scan per
+belong to category c of column A".  The pre-kernel implementation
+(kept as the test oracle in ``tests/oracle/metrics.py``) re-derives
+that from scratch (``np.unique`` + one equality scan per
 group per metric); a :class:`CodeTable` instead encodes the column once
 into int64 codes whose order matches the library-wide deterministic
 group order (sorted by ``repr``), and materialises per-category boolean

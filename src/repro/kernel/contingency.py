@@ -10,7 +10,8 @@ all read from this one shared count tensor instead of re-masking the
 arrays per metric per group.
 
 Counts are exact integers, so every derived rate (``positives / n``)
-is bit-identical to the reference per-group-mask computation.  The
+is bit-identical to the per-group-mask computation of the test oracle
+(``tests/oracle/metrics.py``).  The
 engine's latency feeds the ``kernel.contingency`` histogram; count
 tensors are cached by array identity next to the code tables.
 """

@@ -15,7 +15,8 @@ Equivalence contract
 Each batch primitive reproduces the scalar reference arithmetic
 *operation for operation* (same expression order, same degenerate-case
 handling), so its outputs are bit-identical to a Python loop over
-:mod:`repro.stats._reference` — the property suite in
+the pre-batch scalar code kept as a test oracle in
+``tests/oracle/stats.py`` — the property suite in
 ``tests/perf/test_batch_stats.py`` and the ``bench_p2_stats.py``
 regression guard both assert this on every run.  For the resampling
 primitives the random streams are aligned too: drawing an

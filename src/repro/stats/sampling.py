@@ -142,8 +142,8 @@ def _batched_estimates(
     ``n_trials`` sequential draws) and one bincount per trial row;
     empirical dicts are built in the sorted-key order
     :func:`empirical_distribution` would produce, with zero-count
-    values dropped, so any distance callable sees the same input as on
-    the reference path.
+    values dropped, so any distance callable sees the same input as
+    with one sample per trial.
     """
     from repro.stats.batch import _infer_span
 
@@ -219,36 +219,25 @@ def sample_complexity_curve(
     computes ``distance(empirical_sample, reference)``, and compares to the
     true ``distance(population, reference)``.
 
-    On the default kernel backend all trials for one ``n`` are drawn as
-    a single ``(n_trials × n)`` categorical sample and reduced to
-    empirical distributions with one bincount per trial row; the
-    ``"reference"`` backend keeps the original one-sample-per-trial
-    loop.  Both consume the random stream identically, so a seeded
-    curve is the same on either backend.
+    All trials for one ``n`` are drawn as a single ``(n_trials × n)``
+    categorical sample and reduced to empirical distributions with one
+    bincount per trial row.  That consumes the random stream exactly as
+    one sample per trial would, so a seeded curve equals the
+    one-sample-per-trial loop kept as a test oracle in
+    ``tests/oracle/sampling.py``.
     """
-    from repro.kernel._backend import get_backend
-
     if not sample_sizes:
         raise ValidationError("sample_sizes must be non-empty")
     n_trials = check_positive_int(n_trials, "n_trials")
     rng = check_random_state(random_state)
     true_value = float(distance(population, reference))
-    batched = get_backend() != "reference"
 
     points = []
     for n in sorted(set(int(s) for s in sample_sizes)):
         check_positive_int(n, "sample size")
-        if batched:
-            estimates = _batched_estimates(
-                distance, population, reference, n, n_trials, rng
-            )
-        else:
-            estimates = np.empty(n_trials)
-            for t in range(n_trials):
-                sample = sample_from_distribution(population, n, rng)
-                estimates[t] = distance(
-                    empirical_distribution(sample), reference
-                )
+        estimates = _batched_estimates(
+            distance, population, reference, n, n_trials, rng
+        )
         errors = np.abs(estimates - true_value)
         points.append(
             SampleComplexityPoint(

@@ -4,12 +4,11 @@ Section IV.C of the paper warns that sparse subgroups make bias estimates
 statistically unreliable; the audit layer therefore attaches significance
 information from these primitives to every finding.
 
-Since ISSUE 5 the scalar functions here are thin wrappers over the
-vectorized engine in :mod:`repro.stats.batch` (a scalar call is a
-length-1 batch).  The pre-batch implementations are kept verbatim in
-:mod:`repro.stats._reference` and run whenever the ``"reference"``
-kernel backend is selected (:func:`repro.kernel.use_backend`), so
-batch↔scalar equivalence stays testable forever.
+The scalar functions here are thin wrappers over the vectorized engine
+in :mod:`repro.stats.batch` (a scalar call is a length-1 batch).  The
+pre-batch scalar implementations are kept verbatim as a test oracle in
+``tests/oracle/stats.py``; ``tests/perf/test_batch_stats.py`` checks
+batch ≡ scalar against it.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from scipy import stats as sp_stats
 
 from repro._validation import check_positive_int, check_probability
 from repro.exceptions import ValidationError
-from repro.kernel._backend import get_backend
-from repro.stats import _reference
 from repro.stats.batch import (
     batch_bootstrap_ci,
     batch_min_detectable_gap,
@@ -63,17 +60,10 @@ def two_proportion_z_test(
     """Two-sided pooled z-test for equality of two proportions.
 
     The workhorse for "is the selection-rate gap between groups real?".
-    A length-1 call into :func:`repro.stats.batch.batch_two_proportion_z`
-    (the scalar loop under the ``"reference"`` backend).
+    A length-1 call into :func:`repro.stats.batch.batch_two_proportion_z`.
     """
-    if get_backend() == "reference":
-        z, p_value = _reference.two_proportion_z_test(
-            successes_a, n_a, successes_b, n_b
-        )
-    else:
-        zs, ps = batch_two_proportion_z(successes_a, n_a, successes_b, n_b)
-        z, p_value = float(zs[0]), float(ps[0])
-    return TestResult(z, p_value, "two_proportion_z")
+    zs, ps = batch_two_proportion_z(successes_a, n_a, successes_b, n_b)
+    return TestResult(float(zs[0]), float(ps[0]), "two_proportion_z")
 
 
 def chi_square_independence(table, correction: bool = True) -> TestResult:
@@ -113,22 +103,16 @@ def permutation_test(
     """Two-sided permutation test for a two-sample statistic.
 
     ``statistic`` defaults to the difference in means.  The p-value uses
-    the add-one correction so it is never exactly zero.  The kernel
-    backend draws one argsort-of-random-keys permutation matrix
-    (:func:`repro.stats.batch.batch_permutation_test`); the
-    ``"reference"`` backend runs the original shuffle loop, so the two
-    agree statistically but not draw-for-draw under one seed.
+    the add-one correction so it is never exactly zero.  Draws one
+    argsort-of-random-keys permutation matrix
+    (:func:`repro.stats.batch.batch_permutation_test`), so it agrees
+    with a shuffle loop statistically but not draw-for-draw under one
+    seed.
     """
-    if get_backend() == "reference":
-        observed, p_value = _reference.permutation_test(
-            x, y, statistic=statistic, n_permutations=n_permutations,
-            random_state=random_state,
-        )
-    else:
-        observed, p_value = batch_permutation_test(
-            x, y, statistic=statistic, n_permutations=n_permutations,
-            random_state=random_state,
-        )
+    observed, p_value = batch_permutation_test(
+        x, y, statistic=statistic, n_permutations=n_permutations,
+        random_state=random_state,
+    )
     return TestResult(observed, p_value, "permutation")
 
 
@@ -141,15 +125,10 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap confidence interval for a sample statistic.
 
-    The kernel backend draws the full resample index matrix at once
+    Draws the full resample index matrix at once
     (:func:`repro.stats.batch.batch_bootstrap_ci`); under the same
-    ``random_state`` it is bit-identical to the ``"reference"`` loop.
+    ``random_state`` it is bit-identical to a per-resample loop.
     """
-    if get_backend() == "reference":
-        return _reference.bootstrap_ci(
-            values, statistic=statistic, confidence=confidence,
-            n_resamples=n_resamples, random_state=random_state,
-        )
     return batch_bootstrap_ci(
         values, statistic=statistic, confidence=confidence,
         n_resamples=n_resamples, random_state=random_state,
@@ -166,12 +145,8 @@ def wilson_interval(
     ``float`` (never numpy scalars), so report payloads built from them
     serialize to JSON without coercion.
     """
-    if get_backend() == "reference":
-        low, high = _reference.wilson_interval(successes, n, confidence)
-    else:
-        lows, highs = batch_wilson_interval(successes, n, confidence)
-        low, high = lows[0], highs[0]
-    return float(low), float(high)
+    lows, highs = batch_wilson_interval(successes, n, confidence)
+    return float(lows[0]), float(highs[0])
 
 
 def min_detectable_gap(
@@ -183,12 +158,8 @@ def min_detectable_gap(
     a "no significant disparity" finding with how large a disparity could
     still be hiding (the Section IV.C uncertainty caveat).
     """
-    if get_backend() == "reference":
-        return _reference.min_detectable_gap(
-            n_a, n_b, base_rate=base_rate, alpha=alpha, power=power
-        )
     # Scalar-strict validation (the batch engine accepts integral floats;
-    # the scalar API never did, on either backend).
+    # the scalar API never did).
     check_positive_int(n_a, "n_a")
     check_positive_int(n_b, "n_b")
     gaps = batch_min_detectable_gap(

@@ -428,6 +428,11 @@ class AuditAccumulator:
     @classmethod
     def from_dict(cls, payload: dict) -> "AuditAccumulator":
         """Rebuild an accumulator serialised with :meth:`to_dict`."""
+        if not isinstance(payload, dict):
+            raise AuditError(
+                "accumulator state must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         version = payload.get("version")
         if version != STATE_VERSION:
             raise AuditError(
@@ -441,6 +446,11 @@ class AuditAccumulator:
             audits_labels=payload.get("audits_labels", False),
         )
         width = len(accumulator._dims)
+        if not isinstance(payload["cells"], list):
+            raise AuditError(
+                "accumulator state cells must be a list, got "
+                f"{type(payload['cells']).__name__}"
+            )
         for key, count in payload["cells"]:
             if len(key) != width:
                 raise AuditError(f"cell {key!r} has {len(key)} parts, not {width}")

@@ -35,10 +35,8 @@ from repro._validation import (
 from repro.core.config import AuditConfig
 from repro.data.dataset import TabularDataset
 from repro.exceptions import AuditError
-from repro.kernel import get_backend
 from repro.models.preprocessing import OneHotEncoder
 from repro.models.tree import DecisionTree
-from repro.stats.tests import two_proportion_z_test, wilson_interval
 from repro.subgroup.enumeration import Subgroup
 
 __all__ = [
@@ -215,8 +213,8 @@ def audit_subgroups(
         ``concurrent.futures`` pool, merging results in enumeration
         order — findings, p-values, and checkpoint files are
         byte-identical to the serial scan, so serial and parallel runs
-        can resume each other's checkpoints.  Requires the ``"kernel"``
-        backend.  Workers attach to the scan's sources by name — shared
+        can resume each other's checkpoints.  Workers attach to the
+        scan's sources by name — shared
         memory segments for in-memory datasets, packed column files for
         :class:`~repro.data.ooc.MemmapDataset` — so no column array is
         ever pickled to a worker.
@@ -380,14 +378,10 @@ class GerrymanderingAuditor:
 
         # Assign every row to its leaf and compare leaf rates.
         leaf_probs = oracle.predict_proba(X)
-        if get_backend() == "reference":
-            return self._best_leaf_reference(
-                predictions, leaf_probs, min_leaf, X, feature_names
-            )
-        # Kernel path: one bincount pass yields every leaf's size and
-        # positive count, and a single batched inference call scores all
-        # candidate leaves at once — bit-identical to the per-leaf
-        # scalar loop kept behind the reference backend.
+        # One bincount pass yields every leaf's size and positive count,
+        # and a single batched inference call scores all candidate
+        # leaves at once — bit-identical to the per-leaf scalar loop
+        # kept as a test oracle in ``tests/oracle/subgroup.py``.
         from repro.stats.batch import batch_score_counts
 
         leaf_values, leaf_codes = np.unique(leaf_probs, return_inverse=True)
@@ -416,48 +410,6 @@ class GerrymanderingAuditor:
             ),
             **payloads[position],
         )
-
-    def _best_leaf_reference(
-        self,
-        predictions: np.ndarray,
-        leaf_probs: np.ndarray,
-        min_leaf: int,
-        X: np.ndarray,
-        feature_names: list,
-    ) -> SubgroupFinding:
-        """Pre-batch per-leaf scoring loop, kept verbatim as the
-        executable specification for the batched leaf scoring."""
-        best: SubgroupFinding | None = None
-        for leaf_value in np.unique(leaf_probs):
-            mask = leaf_probs == leaf_value
-            inside = predictions[mask]
-            outside = predictions[~mask]
-            if len(inside) < min_leaf or len(outside) == 0:
-                continue
-            rate = float(inside.mean())
-            complement = float(outside.mean())
-            gap = rate - complement
-            test = two_proportion_z_test(
-                int(inside.sum()), len(inside), int(outside.sum()), len(outside)
-            )
-            lo, hi = wilson_interval(int(inside.sum()), len(inside))
-            conditions = self._describe_leaf(X, mask, feature_names)
-            finding = SubgroupFinding(
-                subgroup=Subgroup(
-                    conditions=conditions, size=int(mask.sum()), mask=mask
-                ),
-                rate=rate,
-                complement_rate=complement,
-                gap=gap,
-                ci_low=lo,
-                ci_high=hi,
-                p_value=test.p_value,
-            )
-            if best is None or abs(finding.gap) > abs(best.gap):
-                best = finding
-        if best is None:
-            raise AuditError("oracle produced no usable leaves")
-        return best
 
     @staticmethod
     def _describe_leaf(

@@ -1116,7 +1116,6 @@ def scan_subgroups(
     end; ``resume`` restarts from the last of those, skipping the
     ingest already performed and re-scoring from the saved counts.
     """
-    from repro.kernel import get_backend
     from repro.observability.metrics import get_metrics
     from repro.observability.trace import get_tracer
 
@@ -1124,11 +1123,6 @@ def scan_subgroups(
     tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics if metrics is not None else get_metrics()
     jobs = config.jobs
-    if jobs > 1 and get_backend() != "kernel":
-        raise AuditError(
-            "jobs > 1 requires the 'kernel' backend; the reference path "
-            "is serial-only (repro.kernel.set_backend)"
-        )
     if resume and checkpoint_path is None:
         raise CheckpointError("resume=True requires a checkpoint_path")
     if config.strategy == "incremental" and state_path is None:

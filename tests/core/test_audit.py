@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FairnessAudit, intersection_column
+from repro.core.config import AuditConfig
 from repro.core.report import render_markdown, render_text
 from repro.data import make_intersectional
 from repro.exceptions import AuditError
@@ -21,7 +22,7 @@ class TestConstruction:
 
     def test_unknown_strata_rejected(self, biased_hiring):
         with pytest.raises(AuditError, match="strata column"):
-            FairnessAudit(biased_hiring, strata="nope")
+            FairnessAudit(biased_hiring, config=AuditConfig(strata="nope"))
 
     def test_defaults_to_label_audit(self, biased_hiring):
         audit = FairnessAudit(biased_hiring)
@@ -30,14 +31,18 @@ class TestConstruction:
 
 class TestLabelAudit:
     def test_biased_labels_flagged(self, biased_hiring):
-        report = FairnessAudit(biased_hiring, tolerance=0.05).run()
+        report = FairnessAudit(
+            biased_hiring, config=AuditConfig(tolerance=0.05),
+        ).run()
         assert not report.is_clean
         dp = report.finding("sex", "demographic_parity")
         assert dp.satisfied is False
         assert dp.result.disadvantaged_group() == "female"
 
     def test_clean_labels_pass_dp(self, clean_hiring):
-        report = FairnessAudit(clean_hiring, tolerance=0.05).run()
+        report = FairnessAudit(
+            clean_hiring, config=AuditConfig(tolerance=0.05),
+        ).run()
         dp = report.finding("sex", "demographic_parity")
         assert dp.satisfied is True
 
@@ -58,8 +63,8 @@ class TestModelAudit:
         model = LogisticRegression(max_iter=400).fit_dataset(biased_hiring)
         preds = model.predict_dataset(biased_hiring)
         report = FairnessAudit(
-            biased_hiring, predictions=preds, tolerance=0.05,
-            strata="university",
+            biased_hiring, predictions=preds,
+            config=AuditConfig(tolerance=0.05, strata="university"),
         ).run()
         # with labels distinct from predictions, error-rate metrics run
         eo = report.finding("sex", "equal_opportunity")
@@ -104,7 +109,7 @@ class TestIntersectionalAudit:
 
     def test_intersectional_findings_present(self):
         ds = make_intersectional(n=3000, subgroup_penalty=0.3, random_state=0)
-        report = FairnessAudit(ds, tolerance=0.05).run()
+        report = FairnessAudit(ds, config=AuditConfig(tolerance=0.05)).run()
         assert report.intersectional_findings
         inter_dp = [
             f for f in report.intersectional_findings
@@ -115,7 +120,7 @@ class TestIntersectionalAudit:
     def test_marginal_audits_pass_while_intersection_fails(self):
         # The paper's IV.C phenomenon, visible in a single report.
         ds = make_intersectional(n=12000, subgroup_penalty=0.3, random_state=0)
-        report = FairnessAudit(ds, tolerance=0.05).run()
+        report = FairnessAudit(ds, config=AuditConfig(tolerance=0.05)).run()
         assert report.finding("gender", "demographic_parity").satisfied
         assert report.finding("race", "demographic_parity").satisfied
         inter = [
@@ -146,7 +151,9 @@ class TestReportAccessors:
 
 class TestRendering:
     def test_markdown_contains_key_sections(self, biased_hiring):
-        report = FairnessAudit(biased_hiring, strata="university").run()
+        report = FairnessAudit(
+            biased_hiring, config=AuditConfig(strata="university"),
+        ).run()
         text = render_markdown(report)
         assert "# Fairness audit report" in text
         assert "demographic_parity" in text
@@ -154,7 +161,9 @@ class TestRendering:
         assert "Statistical power" in text
 
     def test_markdown_flags_violations(self, biased_hiring):
-        report = FairnessAudit(biased_hiring, tolerance=0.01).run()
+        report = FairnessAudit(
+            biased_hiring, config=AuditConfig(tolerance=0.01),
+        ).run()
         assert "VIOLATIONS FOUND" in render_markdown(report)
 
     def test_text_rendering_strips_markup(self, biased_hiring):
@@ -214,7 +223,9 @@ class TestSingletonStrataSkipPath:
     uncaught exception (the existing skip path, now under supervision)."""
 
     def test_conditional_metrics_skipped_not_raised(self):
-        report = FairnessAudit(_singleton_strata_dataset(), strata="dept").run()
+        report = FairnessAudit(
+            _singleton_strata_dataset(), config=AuditConfig(strata="dept"),
+        ).run()
         for metric in (
             "conditional_statistical_parity",
             "conditional_demographic_disparity",
@@ -224,12 +235,16 @@ class TestSingletonStrataSkipPath:
             assert "skipped" in finding.reason or "stratum" in finding.reason
 
     def test_no_error_findings_from_sparse_strata(self):
-        report = FairnessAudit(_singleton_strata_dataset(), strata="dept").run()
+        report = FairnessAudit(
+            _singleton_strata_dataset(), config=AuditConfig(strata="dept"),
+        ).run()
         assert report.errors() == []
         assert not report.degraded
 
     def test_skip_reason_rendered_in_markdown(self):
-        report = FairnessAudit(_singleton_strata_dataset(), strata="dept").run()
+        report = FairnessAudit(
+            _singleton_strata_dataset(), config=AuditConfig(strata="dept"),
+        ).run()
         text = render_markdown(report)
         assert "SKIPPED" in text
 

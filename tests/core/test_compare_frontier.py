@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FairnessAudit
 from repro.core.compare import compare_reports
+from repro.core.config import AuditConfig
 from repro.core.frontier import fairness_frontier
 from repro.data import make_hiring
 from repro.exceptions import AuditError, MetricError
@@ -24,8 +25,12 @@ def before_after_reports():
     post = GroupThresholds("demographic_parity").fit(probs, ds.column("sex"))
     fixed_preds = post.predict(probs, ds.column("sex"))
 
-    before = FairnessAudit(ds, predictions=preds, tolerance=0.05).run()
-    after = FairnessAudit(ds, predictions=fixed_preds, tolerance=0.05).run()
+    before = FairnessAudit(
+        ds, predictions=preds, config=AuditConfig(tolerance=0.05),
+    ).run()
+    after = FairnessAudit(
+        ds, predictions=fixed_preds, config=AuditConfig(tolerance=0.05),
+    ).run()
     return before, after
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import FairnessAudit, demographic_parity, four_fifths_rule
 from repro.core.config import ScanConfig
+from repro.core.config import AuditConfig
 from repro.data import ETHNICITY_GROUPS, make_admissions
 from repro.exceptions import ValidationError
 from repro.mitigation import QuantileRepair
@@ -77,7 +78,9 @@ class TestThreeGroupAuditing:
         assert not finding.passes
 
     def test_audit_runs_both_attributes_and_intersection(self, biased):
-        report = FairnessAudit(biased, tolerance=0.05).run()
+        report = FairnessAudit(
+            biased, config=AuditConfig(tolerance=0.05),
+        ).run()
         assert report.finding("ethnicity", "demographic_parity").satisfied is False
         assert report.finding("sex", "demographic_parity").satisfied is False
         # 3 × 2 = 6 intersectional cells audited

@@ -19,10 +19,10 @@ from repro.core.audit import FairnessAudit
 from repro.core.config import ScanConfig
 from repro.core.serialize import report_to_dict
 from repro.data import make_intersectional, open_dataset, pack_dataset
-from repro.kernel import use_backend
 from repro.streaming import audit_stream
 from repro.data.ooc import stream_chunks
 from repro.subgroup import adjust_for_multiple_testing, audit_subgroups
+from tests.oracle.subgroup import reference_findings
 
 
 def finding_signature(finding):
@@ -87,16 +87,22 @@ def test_stream_chunks_accepts_path_and_dataset(inputs):
 
 @pytest.mark.parametrize("backend", ["kernel", "reference"])
 def test_serial_scan_identical_across_representations(inputs, backend):
+    # "kernel": the packed scan equals the in-memory scan; "reference":
+    # it equals the oracle's per-subgroup mask scan of the in-memory data
     data, packed, predictions = inputs
-    with use_backend(backend):
+    if backend == "reference":
+        reference = reference_findings(
+            predictions, data, max_order=2, min_size=5
+        )
+    else:
         reference = audit_subgroups(
             predictions, data,
             scan_config=ScanConfig(max_order=2, min_size=5),
         )
-        memmapped = audit_subgroups(
-            predictions, packed,
-            scan_config=ScanConfig(max_order=2, min_size=5),
-        )
+    memmapped = audit_subgroups(
+        predictions, packed,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     assert signatures(memmapped) == signatures(reference)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.core.config import AuditConfig
 from repro.models import GradientBoosting, LogisticRegression
 
 
@@ -72,7 +73,8 @@ class TestGradientBoosting:
         model = GradientBoosting(n_rounds=60).fit(X, biased_hiring.labels())
         preds = model.predict(X)
         report = FairnessAudit(
-            biased_hiring, predictions=preds, tolerance=0.05
+            biased_hiring, predictions=preds,
+            config=AuditConfig(tolerance=0.05),
         ).run()
         dp = report.finding("sex", "demographic_parity")
         assert dp.status == "ok"

@@ -1,6 +1,7 @@
 """CLI-level observability tests: --trace-out, trace summarize, logging."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -110,12 +111,14 @@ class TestTraceOut:
     ):
         real = cli.FairnessAudit
 
-        def with_chaos(dataset, **kwargs):
+        def with_chaos(dataset, *, config, **kwargs):
             injector = FaultInjector()
             injector.inject_error(
                 "audit:sex:demographic_parity", RuntimeError("chaos")
             )
-            return real(dataset, faults=injector, **kwargs)
+            return real(
+                dataset, config=replace(config, faults=injector), **kwargs
+            )
 
         monkeypatch.setattr(cli, "FairnessAudit", with_chaos)
         trace_path = tmp_path / "degraded.trace.jsonl"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import FairnessAudit
+from repro.core.config import AuditConfig
 from repro.core.report import render_markdown
 from repro.core.serialize import report_to_dict
 from repro.data import make_hiring, make_intersectional
@@ -47,7 +48,9 @@ class TestFingerprint:
 
 class TestProvenanceRecord:
     def test_audit_attaches_provenance(self, hiring):
-        report = FairnessAudit(hiring, tolerance=0.05).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(tolerance=0.05),
+        ).run()
         record = report.provenance
         assert isinstance(record, ProvenanceRecord)
         assert record.dataset_fingerprint == dataset_fingerprint(hiring)
@@ -60,7 +63,7 @@ class TestProvenanceRecord:
 
     def test_policy_summary_recorded(self, hiring):
         policy = ExecutionPolicy(deadline=30.0, max_retries=2)
-        report = FairnessAudit(hiring, policy=policy).run()
+        report = FairnessAudit(hiring, config=AuditConfig(policy=policy)).run()
         assert report.provenance.policy["deadline"] == 30.0
         assert report.provenance.policy["max_retries"] == 2
 
@@ -69,7 +72,9 @@ class TestProvenanceRecord:
         injector.inject_error(
             "audit:sex:demographic_parity", RuntimeError("chaos")
         )
-        report = FairnessAudit(hiring, faults=injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=injector),
+        ).run()
         assert report.provenance.degraded_stages == 1
         entry = next(
             e for e in report.provenance.stages
@@ -137,7 +142,9 @@ class TestReportRendering:
             name="prov", sector="employment", jurisdiction="eu",
             n_protected_attributes=2,
         )
-        dossier = run_compliance_workflow(data, profile, tolerance=0.1)
+        dossier = run_compliance_workflow(
+            data, profile, config=AuditConfig(tolerance=0.1),
+        )
         assert dossier.provenance is not None
         markdown = dossier.to_markdown()
         assert "## Provenance (audit trail)" in markdown

@@ -1,12 +1,12 @@
-"""Pre-batch scalar inference implementations, kept verbatim.
+"""Pre-batch scalar inference, kept verbatim as a test oracle.
 
-ISSUE 5 turned the public primitives of :mod:`repro.stats.tests` into
-thin wrappers over the vectorized engine in :mod:`repro.stats.batch`.
-The original scalar implementations live here, byte-for-byte as they
-were before the batch engine existed, and are executed whenever the
-``"reference"`` kernel backend is selected
-(:func:`repro.kernel.use_backend`) — so batch↔scalar equivalence stays
-testable forever, exactly like the PR 3 contingency kernel.
+The public primitives of :mod:`repro.stats.tests` are thin wrappers
+over the vectorized engine in :mod:`repro.stats.batch`.  These are the
+scalar implementations that engine replaced, byte-for-byte as they were
+before it existed.  ``tests/perf/test_batch_stats.py`` and
+``benchmarks/bench_p2_stats.py`` compare the engine against them, and
+the oracle metrics in :mod:`tests.oracle.metrics` use them for their
+significance tests and power notes.
 
 Nothing here should be "improved": this module is the executable
 specification the batch engine is compared against.

@@ -1,11 +1,11 @@
 """Batched inference engine: equivalence against the scalar reference.
 
 The batch primitives in :mod:`repro.stats.batch` must reproduce the
-scalar reference arithmetic bit-for-bit (or, where a random stream
-cannot be aligned, statistically) — and the audit paths routed through
-them must leave every user-visible artifact untouched: findings,
-Holm/BH adjusted p-values, and checkpoint files byte-identical between
-the batched scan, the ``"reference"`` backend, and the scalar loop.
+scalar reference arithmetic of the test oracle :mod:`tests.oracle.stats`
+bit-for-bit (or, where a random stream cannot be aligned,
+statistically) — and the audit paths routed through them must leave
+every user-visible artifact untouched: findings and Holm/BH adjusted
+p-values identical between the batched scan and the scalar loop.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import ScanConfig
 from repro.data import make_intersectional
-from repro.kernel import use_backend
 from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.stats import (
     batch_bootstrap_ci,
@@ -30,9 +29,10 @@ from repro.stats import (
     two_proportion_z_test,
     wilson_interval,
 )
-from repro.stats import _reference
 from repro.subgroup import adjust_for_multiple_testing, audit_subgroups
 
+from tests.oracle import stats as _reference
+from tests.oracle.subgroup import reference_findings
 from tests.perf.test_parallel_scan import finding_signature
 
 TOL = 1e-12
@@ -96,21 +96,21 @@ class TestPrimitiveEquivalence:
             )
             assert abs(gaps[i] - ref) <= TOL
 
-    @pytest.mark.parametrize("backend", ["kernel", "reference"])
+    @pytest.mark.parametrize("backend", ["kernel"])
     def test_scalar_wrappers_agree_across_backends(self, backend):
+        # the library's scalar wrappers equal the oracle's scalar loop
         s_a, n_a, s_b, n_b = _count_grid(np.random.default_rng(14), size=64)
-        with use_backend(backend):
-            for i in range(len(s_a)):
-                args = int(s_a[i]), int(n_a[i]), int(s_b[i]), int(n_b[i])
-                result = two_proportion_z_test(*args)
-                ref_z, ref_p = _reference.two_proportion_z_test(*args)
-                assert result.statistic == ref_z
-                assert result.p_value == ref_p
-                lo, hi = wilson_interval(int(s_a[i]), int(n_a[i]))
-                ref_lo, ref_hi = _reference.wilson_interval(
-                    int(s_a[i]), int(n_a[i])
-                )
-                assert (lo, hi) == (float(ref_lo), float(ref_hi))
+        for i in range(len(s_a)):
+            args = int(s_a[i]), int(n_a[i]), int(s_b[i]), int(n_b[i])
+            result = two_proportion_z_test(*args)
+            ref_z, ref_p = _reference.two_proportion_z_test(*args)
+            assert result.statistic == ref_z
+            assert result.p_value == ref_p
+            lo, hi = wilson_interval(int(s_a[i]), int(n_a[i]))
+            ref_lo, ref_hi = _reference.wilson_interval(
+                int(s_a[i]), int(n_a[i])
+            )
+            assert (lo, hi) == (float(ref_lo), float(ref_hi))
 
     def test_batch_validation_matches_scalar_messages(self):
         with pytest.raises(Exception, match="non-empty"):
@@ -143,8 +143,7 @@ class TestResampling:
 
     def test_scalar_bootstrap_wrapper_matches_on_both_backends(self):
         values = np.random.default_rng(23).normal(size=150)
-        with use_backend("reference"):
-            ref = bootstrap_ci(values, random_state=7)
+        ref = _reference.bootstrap_ci(values, random_state=7)
         kern = bootstrap_ci(values, random_state=7)
         assert kern == ref
 
@@ -182,14 +181,16 @@ class TestResampling:
         assert abs(batched[1] - reference[1]) < 0.05
 
     def test_scalar_permutation_wrapper_routes_by_backend(self):
+        # the scalar wrapper routes to the batch engine; its observed
+        # statistic always equals the oracle's shuffle loop
         x = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0] * 10)
         y = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0] * 10)
-        with use_backend("reference"):
-            ref = permutation_test(x, y, random_state=2)
-        ref_raw = _reference.permutation_test(x, y, random_state=2)
-        assert (ref.statistic, ref.p_value) == ref_raw
         kern = permutation_test(x, y, random_state=2)
-        assert kern.statistic == ref.statistic  # observed stat always equal
+        assert (kern.statistic, kern.p_value) == batch_permutation_test(
+            x, y, random_state=2
+        )
+        ref_statistic, _ = _reference.permutation_test(x, y, random_state=2)
+        assert kern.statistic == ref_statistic
 
 
 class TestScoreCounts:
@@ -219,7 +220,7 @@ class TestScoreCounts:
 
 
 class TestAuditArtifactIdentity:
-    """Batched vs reference scans: byte-identical user-visible output."""
+    """Batched scan vs the oracle's scalar scan: identical findings."""
 
     @pytest.fixture(scope="class")
     def scan_inputs(self):
@@ -227,26 +228,24 @@ class TestAuditArtifactIdentity:
         return data, data.labels()
 
     def test_findings_checkpoints_and_adjustments_identical(
-        self, scan_inputs, tmp_path_factory
+        self, scan_inputs, tmp_path
     ):
         data, predictions = scan_inputs
-        tmp_path = tmp_path_factory.mktemp("batch-vs-reference")
-        results, texts = {}, {}
-        for backend in ("kernel", "reference"):
-            with use_backend(backend):
-                findings = audit_subgroups(
-                    predictions, data,
-                    scan_config=ScanConfig(
-                        max_order=2, min_size=5, checkpoint_every=3
-                    ),
-                    checkpoint_path=tmp_path / f"{backend}.json",
-                )
-            results[backend] = findings
-            texts[backend] = (tmp_path / f"{backend}.json").read_text()
+        results = {
+            "kernel": audit_subgroups(
+                predictions, data,
+                scan_config=ScanConfig(
+                    max_order=2, min_size=5, checkpoint_every=3
+                ),
+                checkpoint_path=tmp_path / "kernel.json",
+            ),
+            "reference": reference_findings(
+                predictions, data, max_order=2, min_size=5
+            ),
+        }
         assert [finding_signature(f) for f in results["kernel"]] == [
             finding_signature(f) for f in results["reference"]
         ]
-        assert texts["kernel"] == texts["reference"]
         for method in ("holm", "bh"):
             adjusted = {
                 backend: adjust_for_multiple_testing(
@@ -261,10 +260,8 @@ class TestAuditArtifactIdentity:
 
 class TestSatelliteRegressions:
     def test_wilson_interval_returns_builtin_floats(self):
-        for backend in ("kernel", "reference"):
-            with use_backend(backend):
-                low, high = wilson_interval(3, 9)
-            assert type(low) is float and type(high) is float
+        low, high = wilson_interval(3, 9)
+        assert type(low) is float and type(high) is float
         low, high = batch_wilson_interval([3], [9])
         assert isinstance(low, np.ndarray) and isinstance(high, np.ndarray)
 

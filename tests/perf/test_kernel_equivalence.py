@@ -1,38 +1,40 @@
-"""Equivalence suite: kernel path ≡ reference path, bit for bit.
+"""Equivalence suite: library metrics ≡ the test oracle, bit for bit.
 
-The kernel (ISSUE 3) must be a pure performance change: every Section
-III metric — values, p-values, group ordering, skip/raise semantics —
-must be *identical* under the ``"kernel"`` and ``"reference"`` backends.
-These are property-style checks over randomized datasets, not golden
-files: the reference loop is executed alongside the kernel on the same
-inputs and the full result structures are compared with ``==``.
+The kernel must be a pure performance change: every Section III metric
+— values, p-values, group ordering, skip/raise semantics — must be
+*identical* to the per-group masking loops kept as the test oracle in
+:mod:`tests.oracle.metrics`.  The metric checks are hypothesis
+properties over generated inputs (2–6 groups of str, int or bool
+values, with or without strata, groups without positives or negatives),
+and the fixed-seed cases of the original suite stay as explicit
+``@example``s.  Test names keep the historical "backend" wording: the
+two sides compared are the library and the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import FairnessAudit
+from repro.core import FairnessAudit, audit, metrics as library
 from repro.core.audit import intersection_column
-from repro.core.metrics import (
-    calibration_within_groups,
-    conditional_demographic_disparity,
-    conditional_statistical_parity,
-    demographic_disparity,
-    demographic_parity,
-    disparate_impact_ratio,
-    equal_opportunity,
-    equalized_odds,
-    false_positive_rate_parity,
-    overall_accuracy_equality,
-    predictive_parity,
-    treatment_equality,
-)
+from repro.core.config import AuditConfig
 from repro.data import make_hiring, make_intersectional
 from repro.exceptions import InsufficientDataError, MetricError
-from repro.kernel import use_backend
 from repro.observability.metrics import MetricsRegistry, use_metrics
+from tests.oracle import metrics as oracle
+from tests.oracle import reference_battery
+from tests.oracle.audit import BATTERY_FUNCTIONS
+from tests.oracle.audit import intersection_column as oracle_intersection_column
+
+#: tier-1 profile: small inputs, few examples per property
+FAST = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
 
 
 def result_signature(result):
@@ -66,8 +68,16 @@ def result_signature(result):
     )
 
 
-@pytest.fixture(scope="module")
-def arrays():
+def outcome(call, arrays):
+    """A call's result signature, or the type, message and group it
+    raised — as a repr, so NaN fields compare equal bit for bit."""
+    try:
+        return repr(("ok", result_signature(call(arrays))))
+    except Exception as exc:  # noqa: BLE001 — the oracle must raise alike
+        return repr(("raise", type(exc), str(exc), getattr(exc, "group", None)))
+
+
+def _hiring_arrays():
     data = make_hiring(n=4000, direct_bias=1.5, proxy_strength=0.8, random_state=3)
     rng = np.random.default_rng(11)
     labels = data.labels()
@@ -80,58 +90,119 @@ def arrays():
         "protected": data.column("sex"),
         "strata": data.column("university"),
         "probabilities": rng.random(len(labels)),
+        "min_stratum_group_size": 5,
     }
 
 
-METRIC_CALLS = {
-    "demographic_parity": lambda a: demographic_parity(
-        a["predictions"], a["protected"], tolerance=0.05, with_significance=True
-    ),
-    "conditional_statistical_parity": lambda a: conditional_statistical_parity(
-        a["predictions"], a["protected"], a["strata"],
-        tolerance=0.05, min_stratum_group_size=5,
-    ),
-    "equal_opportunity": lambda a: equal_opportunity(
-        a["y_true"], a["predictions"], a["protected"], with_significance=True
-    ),
-    "equalized_odds": lambda a: equalized_odds(
-        a["y_true"], a["predictions"], a["protected"]
-    ),
-    "demographic_disparity": lambda a: demographic_disparity(
-        a["predictions"], a["protected"]
-    ),
-    "conditional_demographic_disparity": lambda a: conditional_demographic_disparity(
-        a["predictions"], a["protected"], a["strata"], min_stratum_group_size=5
-    ),
-    "predictive_parity": lambda a: predictive_parity(
-        a["y_true"], a["predictions"], a["protected"]
-    ),
-    "treatment_equality": lambda a: treatment_equality(
-        a["y_true"], a["predictions"], a["protected"]
-    ),
-    "false_positive_rate_parity": lambda a: false_positive_rate_parity(
-        a["y_true"], a["predictions"], a["protected"]
-    ),
-    "overall_accuracy_equality": lambda a: overall_accuracy_equality(
-        a["y_true"], a["predictions"], a["protected"]
-    ),
-    "disparate_impact_ratio": lambda a: disparate_impact_ratio(
-        a["predictions"], a["protected"]
-    ),
-    "calibration_within_groups": lambda a: calibration_within_groups(
-        a["y_true"], a["probabilities"], a["protected"]
-    ),
+#: the fixed-seed case every property also runs
+HIRING = _hiring_arrays()
+
+GROUP_VALUES = {
+    "str": ["g0", "g1", "g2", "g3", "g4", "g5"],
+    "int": [1, 10, 2, 7, 30, 3],  # repr order differs from numeric order
+    "bool": [False, True],
 }
+#: per-group rates; 0 and 1 make groups with no positives or negatives
+RATES = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 
-@pytest.mark.parametrize("metric", sorted(METRIC_CALLS))
+@st.composite
+def metric_inputs(draw, min_groups=2, max_groups=6):
+    kind = draw(st.sampled_from(sorted(GROUP_VALUES)))
+    values = GROUP_VALUES[kind]
+    n_groups = draw(
+        st.integers(min_groups, min(max_groups, len(values)))
+    )
+    n = draw(st.integers(n_groups, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # every group present at least once, the rest of the rows at random
+    codes = np.concatenate(
+        [np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)]
+    )
+    rng.shuffle(codes)
+    label_rate = np.array(draw(st.lists(
+        st.sampled_from(RATES), min_size=n_groups, max_size=n_groups
+    )))
+    pred_rate = np.array(draw(st.lists(
+        st.sampled_from(RATES), min_size=n_groups, max_size=n_groups
+    )))
+    n_strata = draw(st.integers(0, 3))
+    return {
+        "y_true": (rng.random(n) < label_rate[codes]).astype(np.int64),
+        "predictions": (rng.random(n) < pred_rate[codes]).astype(np.int64),
+        "protected": np.array(values)[codes],
+        # no strata column: the conditional metrics see a single stratum
+        "strata": (
+            rng.choice([f"s{i}" for i in range(n_strata)], size=n)
+            if n_strata else np.array(["all"] * n)
+        ),
+        "probabilities": rng.random(n),
+        "min_stratum_group_size": draw(st.integers(1, 4)),
+    }
+
+
+def _calls(impl):
+    return {
+        "demographic_parity": lambda a: impl.demographic_parity(
+            a["predictions"], a["protected"], tolerance=0.05,
+            with_significance=True,
+        ),
+        "conditional_statistical_parity": lambda a: (
+            impl.conditional_statistical_parity(
+                a["predictions"], a["protected"], a["strata"],
+                tolerance=0.05,
+                min_stratum_group_size=a["min_stratum_group_size"],
+            )
+        ),
+        "equal_opportunity": lambda a: impl.equal_opportunity(
+            a["y_true"], a["predictions"], a["protected"],
+            with_significance=True,
+        ),
+        "equalized_odds": lambda a: impl.equalized_odds(
+            a["y_true"], a["predictions"], a["protected"]
+        ),
+        "demographic_disparity": lambda a: impl.demographic_disparity(
+            a["predictions"], a["protected"]
+        ),
+        "conditional_demographic_disparity": lambda a: (
+            impl.conditional_demographic_disparity(
+                a["predictions"], a["protected"], a["strata"],
+                min_stratum_group_size=a["min_stratum_group_size"],
+            )
+        ),
+        "predictive_parity": lambda a: impl.predictive_parity(
+            a["y_true"], a["predictions"], a["protected"]
+        ),
+        "treatment_equality": lambda a: impl.treatment_equality(
+            a["y_true"], a["predictions"], a["protected"]
+        ),
+        "false_positive_rate_parity": lambda a: impl.false_positive_rate_parity(
+            a["y_true"], a["predictions"], a["protected"]
+        ),
+        "overall_accuracy_equality": lambda a: impl.overall_accuracy_equality(
+            a["y_true"], a["predictions"], a["protected"]
+        ),
+        "disparate_impact_ratio": lambda a: impl.disparate_impact_ratio(
+            a["predictions"], a["protected"]
+        ),
+        "calibration_within_groups": lambda a: impl.calibration_within_groups(
+            a["y_true"], a["probabilities"], a["protected"]
+        ),
+    }
+
+
+LIBRARY_CALLS = _calls(library)
+ORACLE_CALLS = _calls(oracle)
+
+
+@pytest.mark.parametrize("metric", sorted(LIBRARY_CALLS))
+@FAST
+@given(arrays=metric_inputs())
+@example(arrays=HIRING)
 def test_every_section_iii_metric_is_backend_identical(metric, arrays):
-    call = METRIC_CALLS[metric]
-    with use_backend("reference"):
-        reference = result_signature(call(arrays))
-    with use_backend("kernel"):
-        kernel = result_signature(call(arrays))
-    assert kernel == reference
+    assert outcome(LIBRARY_CALLS[metric], arrays) == outcome(
+        ORACLE_CALLS[metric], arrays
+    )
 
 
 def test_numeric_group_values_keep_repr_order():
@@ -140,54 +211,77 @@ def test_numeric_group_values_keep_repr_order():
     rng = np.random.default_rng(0)
     protected = rng.choice([1, 2, 10], size=400)
     predictions = rng.integers(0, 2, size=400)
-    with use_backend("reference"):
-        reference = demographic_parity(predictions, protected)
-    with use_backend("kernel"):
-        kernel = demographic_parity(predictions, protected)
+    reference = oracle.demographic_parity(predictions, protected)
+    kernel = library.demographic_parity(predictions, protected)
     assert [gs.group for gs in kernel.group_stats] == [1, 10, 2]
     assert result_signature(kernel) == result_signature(reference)
 
 
+def _raised(call, arrays, error):
+    with pytest.raises(error) as excinfo:
+        call(arrays)
+    return type(excinfo.value), str(excinfo.value), excinfo.value.group
+
+
+@st.composite
+def without_positives(draw):
+    """Metric inputs where one group has no actual positives."""
+    arrays = dict(draw(metric_inputs()))
+    victim = draw(st.sampled_from(sorted(set(arrays["protected"].tolist()))))
+    arrays["y_true"] = np.where(
+        arrays["protected"] == victim, 0, arrays["y_true"]
+    )
+    return arrays
+
+
+HIRING_NO_FEMALE_POSITIVES = {
+    **HIRING,
+    "y_true": np.where(HIRING["protected"] == "female", 0, HIRING["y_true"]),
+}
+
+
 @pytest.mark.parametrize("metric", ["equal_opportunity", "equalized_odds"])
+@FAST
+@given(arrays=without_positives())
+@example(arrays=HIRING_NO_FEMALE_POSITIVES)
 def test_insufficient_data_raises_identically(metric, arrays):
     # One group with no actual positives must raise the same error, with
-    # the same message and structured group evidence, on both backends.
-    y_true = arrays["y_true"].copy()
-    y_true[arrays["protected"] == "female"] = 0
-    y_true.setflags(write=False)
-    call = METRIC_CALLS[metric]
-    messages = {}
-    for backend in ("reference", "kernel"):
-        with use_backend(backend):
-            with pytest.raises(InsufficientDataError) as excinfo:
-                call({**arrays, "y_true": y_true})
-            messages[backend] = (str(excinfo.value), excinfo.value.group)
-    assert messages["kernel"] == messages["reference"]
+    # the same message and structured group evidence, in both.
+    assert _raised(
+        LIBRARY_CALLS[metric], arrays, InsufficientDataError
+    ) == _raised(ORACLE_CALLS[metric], arrays, InsufficientDataError)
 
 
-def test_fewer_than_two_groups_raises_identically():
-    predictions = np.array([0, 1, 1, 0])
-    protected = np.array(["only", "only", "only", "only"])
-    messages = {}
-    for backend in ("reference", "kernel"):
-        with use_backend(backend):
-            with pytest.raises(MetricError) as excinfo:
-                demographic_parity(predictions, protected)
-            messages[backend] = str(excinfo.value)
-    assert messages["kernel"] == messages["reference"]
+@FAST
+@given(
+    value=st.sampled_from(["only", 7, True]),
+    predictions=st.lists(st.integers(0, 1), min_size=1, max_size=30),
+)
+@example(value="only", predictions=[0, 1, 1, 0])
+def test_fewer_than_two_groups_raises_identically(value, predictions):
+    predictions = np.array(predictions)
+    protected = np.array([value] * len(predictions))
+    messages = []
+    for impl in (library, oracle):
+        with pytest.raises(MetricError) as excinfo:
+            impl.demographic_parity(predictions, protected)
+        messages.append((type(excinfo.value), str(excinfo.value)))
+    assert messages[0] == messages[1]
 
 
+@FAST
+@given(arrays=metric_inputs())
+@example(arrays=HIRING)
 def test_all_strata_skipped_raises_identically(arrays):
-    messages = {}
-    for backend in ("reference", "kernel"):
-        with use_backend(backend):
-            with pytest.raises(InsufficientDataError) as excinfo:
-                conditional_statistical_parity(
-                    arrays["predictions"], arrays["protected"],
-                    arrays["strata"], min_stratum_group_size=10_000,
-                )
-            messages[backend] = str(excinfo.value)
-    assert messages["kernel"] == messages["reference"]
+    messages = []
+    for impl in (library, oracle):
+        with pytest.raises(InsufficientDataError) as excinfo:
+            impl.conditional_statistical_parity(
+                arrays["predictions"], arrays["protected"],
+                arrays["strata"], min_stratum_group_size=10_000,
+            )
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
 
 
 def test_full_audit_battery_is_backend_identical():
@@ -198,11 +292,10 @@ def test_full_audit_battery_is_backend_identical():
         rng.random(len(labels)) < 0.8, labels, 1 - labels
     ).astype(np.int64)
 
-    def battery(backend):
-        with use_backend(backend):
-            report = FairnessAudit(
-                data, predictions=predictions, tolerance=0.05
-            ).run()
+    def battery():
+        report = FairnessAudit(
+            data, predictions=predictions, config=AuditConfig(tolerance=0.05)
+        ).run()
         return (
             [
                 (f.attribute, f.metric, f.status, f.reason,
@@ -212,15 +305,27 @@ def test_full_audit_battery_is_backend_identical():
             {k: repr(v) for k, v in report.power_notes.items()},
         )
 
-    assert battery("kernel") == battery("reference")
+    kernel = battery()
+    with reference_battery():
+        # every name the audit looks up points at the oracle
+        for name in BATTERY_FUNCTIONS:
+            assert getattr(audit, name) is getattr(oracle, name)
+        assert all(
+            fn is getattr(oracle, name)
+            for name, fn in audit._LABEL_METRICS.items()
+        )
+        assert audit.intersection_column is oracle_intersection_column
+        reference = battery()
+    assert kernel == reference
+    # the oracle battery is undone on exit
+    assert audit.demographic_parity is library.demographic_parity
+    assert battery() == kernel
 
 
 def test_intersection_column_is_backend_identical():
     data = make_intersectional(n=500, random_state=1)
-    with use_backend("reference"):
-        reference = intersection_column(data, ["gender", "race"])
-    with use_backend("kernel"):
-        kernel = intersection_column(data, ["gender", "race"])
+    reference = oracle_intersection_column(data, ["gender", "race"])
+    kernel = intersection_column(data, ["gender", "race"])
     assert kernel.tolist() == reference.tolist()
 
 
@@ -229,9 +334,9 @@ def test_kernel_cache_metrics_are_recorded():
     predictions = rng.integers(0, 2, size=300)
     protected = rng.choice(["a", "b", "c"], size=300)
     registry = MetricsRegistry()
-    with use_metrics(registry), use_backend("kernel"):
-        demographic_parity(predictions, protected)
-        demographic_parity(predictions, protected)
+    with use_metrics(registry):
+        library.demographic_parity(predictions, protected)
+        library.demographic_parity(predictions, protected)
     snapshot = registry.snapshot()
     assert snapshot["counters"].get("kernel.cache_hit", 0) > 0
     assert snapshot["counters"].get("kernel.cache_miss", 0) > 0

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from repro.data import Column, Schema, TabularDataset
-from repro.exceptions import ValidationError
 from repro.kernel import (
     CodeTable,
     codes_for,
     combined_codes,
     encode,
-    get_backend,
     group_counts,
     joint_counts,
-    set_backend,
-    use_backend,
 )
 
 
@@ -72,15 +68,6 @@ def test_combined_codes_drop_out_of_table_rows():
     assert n_cells == 2
     assert codes.tolist() == [0, 1, -1]
     assert joint_counts(codes, n_cells).tolist() == [1, 1]
-
-
-def test_backend_flag_validates_and_restores():
-    assert get_backend() == "kernel"
-    with use_backend("reference"):
-        assert get_backend() == "reference"
-    assert get_backend() == "kernel"
-    with pytest.raises(ValidationError):
-        set_backend("fast-but-wrong")
 
 
 def test_dataset_codes_cached_per_fingerprint():

@@ -15,10 +15,9 @@ import pytest
 
 from repro.core.config import ScanConfig
 from repro.data import make_intersectional
-from repro.exceptions import AuditError
-from repro.kernel import chunk_ranges, use_backend
+from repro.kernel import chunk_ranges
 from repro.subgroup import adjust_for_multiple_testing, audit_subgroups
-from tests.subgroup.reference_scan import reference_findings
+from tests.oracle.subgroup import reference_findings
 
 
 def finding_signature(finding):
@@ -97,27 +96,15 @@ def test_parallel_findings_and_corrections_match_serial(scan_inputs, tmp_path):
     assert parallel_text == serial_text
 
 
-def test_parallel_requires_kernel_backend(scan_inputs):
-    data, predictions = scan_inputs
-    with use_backend("reference"):
-        with pytest.raises(AuditError, match="kernel"):
-            audit_subgroups(
-                predictions, data,
-                scan_config=ScanConfig(jobs=2),
-            )
-
-
 def test_reference_backend_scan_matches_kernel(scan_inputs):
     data, predictions = scan_inputs
-    with use_backend("reference"):
-        reference = reference_findings(
-            predictions, data, max_order=2, min_size=5
-        )
-    with use_backend("kernel"):
-        kernel = audit_subgroups(
-            predictions, data,
-            scan_config=ScanConfig(max_order=2, min_size=5),
-        )
+    reference = reference_findings(
+        predictions, data, max_order=2, min_size=5
+    )
+    kernel = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
     assert [finding_signature(f) for f in kernel] == [
         finding_signature(f) for f in reference
     ]

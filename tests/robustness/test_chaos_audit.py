@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core import FairnessAudit
+from repro.core.config import AuditConfig
 from repro.core.serialize import report_to_dict, report_to_json
 from repro.data import make_hiring
 from repro.exceptions import ConvergenceError, DegradedRunError
@@ -27,7 +28,9 @@ class TestFaultIsolation:
         fault_injector.inject_error(
             "audit:sex:demographic_parity", RuntimeError("metric blew up")
         )
-        report = FairnessAudit(hiring, faults=fault_injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=fault_injector),
+        ).run()
         finding = report.finding("sex", "demographic_parity")
         assert finding.status == "error"
         assert "RuntimeError" in finding.reason
@@ -37,7 +40,9 @@ class TestFaultIsolation:
         fault_injector.inject_error(
             "audit:sex:demographic_parity", RuntimeError("boom")
         )
-        report = FairnessAudit(hiring, faults=fault_injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=fault_injector),
+        ).run()
         others = [
             f for f in report.findings
             if f.metric != "demographic_parity"
@@ -49,7 +54,9 @@ class TestFaultIsolation:
         fault_injector.inject_error(
             "audit:sex:disparate_impact_ratio", RuntimeError("boom")
         )
-        report = FairnessAudit(hiring, faults=fault_injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=fault_injector),
+        ).run()
         assert report.degraded
         stages = [d["stage"] for d in report.degradations]
         assert "audit:sex:disparate_impact_ratio" in stages
@@ -69,7 +76,7 @@ class TestRetries:
         )
         policy = ExecutionPolicy(max_retries=3, sleep=lambda s: None)
         report = FairnessAudit(
-            hiring, policy=policy, faults=fault_injector
+            hiring, config=AuditConfig(policy=policy, faults=fault_injector),
         ).run()
         # the battery as a whole is clean of errors: retries absorbed it
         assert report.errors() == []
@@ -83,7 +90,7 @@ class TestRetries:
         )
         policy = ExecutionPolicy(max_retries=2, sleep=lambda s: None)
         report = FairnessAudit(
-            hiring, policy=policy, faults=fault_injector
+            hiring, config=AuditConfig(policy=policy, faults=fault_injector),
         ).run()
         finding = report.finding("sex", "demographic_parity")
         assert finding.status == "error"
@@ -97,8 +104,10 @@ class TestDeadlines:
         )
         report = FairnessAudit(
             hiring,
-            policy=ExecutionPolicy(deadline=0.25),
-            faults=fault_injector,
+            config=AuditConfig(
+                policy=ExecutionPolicy(deadline=0.25),
+                faults=fault_injector,
+            ),
         ).run()
         finding = report.finding("sex", "demographic_parity")
         assert finding.status == "error"
@@ -115,7 +124,11 @@ class TestFailClosed:
             "audit:sex:demographic_parity", RuntimeError("boom")
         )
         audit = FairnessAudit(
-            hiring, policy=ExecutionPolicy.strict(), faults=fault_injector
+            hiring,
+            config=AuditConfig(
+                policy=ExecutionPolicy.strict(),
+                faults=fault_injector,
+            ),
         )
         with pytest.raises(DegradedRunError):
             audit.run()
@@ -124,8 +137,10 @@ class TestFailClosed:
         fault_injector.inject_error("audit", RuntimeError("boom"), times=None)
         audit = FairnessAudit(
             hiring,
-            policy=ExecutionPolicy(max_failures=2),
-            faults=fault_injector,
+            config=AuditConfig(
+                policy=ExecutionPolicy(max_failures=2),
+                faults=fault_injector,
+            ),
         )
         with pytest.raises(DegradedRunError, match="budget"):
             audit.run()
@@ -136,7 +151,9 @@ class TestReporting:
         fault_injector.inject_error(
             "audit:sex:demographic_parity", RuntimeError("boom")
         )
-        report = FairnessAudit(hiring, faults=fault_injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=fault_injector),
+        ).run()
         text = report.to_markdown()
         assert "ERROR" in text
         assert "DEGRADED RUN" in text
@@ -146,7 +163,9 @@ class TestReporting:
         fault_injector.inject_error(
             "audit:sex:demographic_parity", RuntimeError("boom")
         )
-        report = FairnessAudit(hiring, faults=fault_injector).run()
+        report = FairnessAudit(
+            hiring, config=AuditConfig(faults=fault_injector),
+        ).run()
         payload = report_to_dict(report)
         assert payload["degraded"] is True
         assert payload["counts"]["errors"] == 1

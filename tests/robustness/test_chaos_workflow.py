@@ -10,6 +10,7 @@ failed.
 import pytest
 
 from repro.core import UseCaseProfile
+from repro.core.config import AuditConfig
 from repro.data import make_hiring
 from repro.exceptions import DegradedRunError
 from repro.robustness import ExecutionPolicy
@@ -51,7 +52,8 @@ class TestEveryStageSurvivesAFault:
     ):
         fault_injector.inject_error(stage, RuntimeError(f"chaos in {stage}"))
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university", faults=fault_injector
+            hiring, profile,
+            config=AuditConfig(strata="university", faults=fault_injector),
         )
         assert dossier.degraded
         assert stage in [d["stage"].split(":")[0] for d in dossier.degradations]
@@ -63,7 +65,8 @@ class TestEveryStageSurvivesAFault:
     ):
         fault_injector.inject_error("audit", RuntimeError("battery down"))
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university", faults=fault_injector
+            hiring, profile,
+            config=AuditConfig(strata="university", faults=fault_injector),
         )
         assert dossier.verdict == "inconclusive"
         assert dossier.audit.all_findings() == []
@@ -75,7 +78,8 @@ class TestEveryStageSurvivesAFault:
             "primary_verdict", RuntimeError("verdict crashed")
         )
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university", faults=fault_injector
+            hiring, profile,
+            config=AuditConfig(strata="university", faults=fault_injector),
         )
         assert dossier.verdict == "inconclusive"
         # the primary metric is still named so the reviewer knows what
@@ -91,7 +95,8 @@ class TestEveryStageSurvivesAFault:
             "audit:sex:treatment_equality", RuntimeError("boom")
         )
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university", faults=fault_injector
+            hiring, profile,
+            config=AuditConfig(strata="university", faults=fault_injector),
         )
         assert dossier.degraded
         assert dossier.verdict == "fail"  # biased data still caught
@@ -106,8 +111,12 @@ class TestDeadlines:
     ):
         fault_injector.inject_hang("risk_flags", seconds=30.0)
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university",
-            policy=ExecutionPolicy(deadline=0.3), faults=fault_injector,
+            hiring, profile,
+            config=AuditConfig(
+                strata="university",
+                policy=ExecutionPolicy(deadline=0.3),
+                faults=fault_injector,
+            ),
         )
         entry = next(
             d for d in dossier.degradations if d["stage"] == "risk_flags"
@@ -123,8 +132,12 @@ class TestFailClosed:
         fault_injector.inject_error("statutes", RuntimeError("boom"))
         with pytest.raises(DegradedRunError):
             run_compliance_workflow(
-                hiring, profile, strata="university",
-                policy=ExecutionPolicy.strict(), faults=fault_injector,
+                hiring, profile,
+                config=AuditConfig(
+                    strata="university",
+                    policy=ExecutionPolicy.strict(),
+                    faults=fault_injector,
+                ),
             )
 
 
@@ -134,7 +147,8 @@ class TestMarkdown:
     ):
         fault_injector.inject_error("risk_flags", RuntimeError("boom"))
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university", faults=fault_injector
+            hiring, profile,
+            config=AuditConfig(strata="university", faults=fault_injector),
         )
         text = dossier.to_markdown()
         assert "Degradations" in text
@@ -142,7 +156,7 @@ class TestMarkdown:
 
     def test_clean_run_has_no_degradations_section(self, hiring, profile):
         dossier = run_compliance_workflow(
-            hiring, profile, strata="university"
+            hiring, profile, config=AuditConfig(strata="university"),
         )
         assert not dossier.degraded
         assert "Degradations" not in dossier.to_markdown()

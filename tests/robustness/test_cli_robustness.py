@@ -1,5 +1,7 @@
 """CLI-level tests for the execution-policy flags and exit codes."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.cli as cli
@@ -55,12 +57,14 @@ class TestDegradedExitCode:
     ):
         real = cli.FairnessAudit
 
-        def with_chaos(dataset, **kwargs):
+        def with_chaos(dataset, *, config, **kwargs):
             injector = FaultInjector()
             injector.inject_error(
                 "audit:sex:demographic_parity", RuntimeError("chaos")
             )
-            return real(dataset, faults=injector, **kwargs)
+            return real(
+                dataset, config=replace(config, faults=injector), **kwargs
+            )
 
         monkeypatch.setattr(cli, "FairnessAudit", with_chaos)
         code = main(["audit", "--data", str(clean_csv),
@@ -73,12 +77,14 @@ class TestDegradedExitCode:
     ):
         real = cli.FairnessAudit
 
-        def with_chaos(dataset, **kwargs):
+        def with_chaos(dataset, *, config, **kwargs):
             injector = FaultInjector()
             injector.inject_error(
                 "audit:sex:treatment_equality", RuntimeError("chaos")
             )
-            return real(dataset, faults=injector, **kwargs)
+            return real(
+                dataset, config=replace(config, faults=injector), **kwargs
+            )
 
         monkeypatch.setattr(cli, "FairnessAudit", with_chaos)
         # absurdly tight tolerance: guaranteed violations AND an error
@@ -93,12 +99,15 @@ class TestDegradedExitCode:
 
         real = workflow_module.run_compliance_workflow
 
-        def with_chaos(dataset, profile, **kwargs):
+        def with_chaos(dataset, profile, *, config, **kwargs):
             injector = FaultInjector()
             injector.inject_error(
                 "risk_flags", RuntimeError("chaos")
             )
-            return real(dataset, profile, faults=injector, **kwargs)
+            return real(
+                dataset, profile, config=replace(config, faults=injector),
+                **kwargs,
+            )
 
         monkeypatch.setattr(
             workflow_module, "run_compliance_workflow", with_chaos
@@ -110,12 +119,14 @@ class TestDegradedExitCode:
     def test_fail_fast_abort_exits_2(self, clean_csv, capsys, monkeypatch):
         real = cli.FairnessAudit
 
-        def with_chaos(dataset, **kwargs):
+        def with_chaos(dataset, *, config, **kwargs):
             injector = FaultInjector()
             injector.inject_error(
                 "audit:sex:demographic_parity", RuntimeError("chaos")
             )
-            return real(dataset, faults=injector, **kwargs)
+            return real(
+                dataset, config=replace(config, faults=injector), **kwargs
+            )
 
         monkeypatch.setattr(cli, "FairnessAudit", with_chaos)
         code = main(["audit", "--data", str(clean_csv),

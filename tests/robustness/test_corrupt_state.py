@@ -8,9 +8,10 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import ScanConfig
 from repro.data import make_hiring
-from repro.exceptions import CheckpointError
+from repro.exceptions import AuditError, CheckpointError
 from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
 from repro.streaming import AuditAccumulator
 from repro.streaming.stream import accumulator_for
@@ -91,22 +92,35 @@ class TestAccumulatorState:
             AuditAccumulator.load(path)
         _assert_checkpoint_error(excinfo, path)
 
-    def test_wrong_layout_payload(self, tmp_path, hiring):
+    def test_wrong_layout_payload(self, tmp_path, hiring, capsys):
         # a valid envelope whose payload is not accumulator state must
-        # surface as CheckpointError naming the layout, not a KeyError
-        path = tmp_path / "wrong.state.json"
-        save_checkpoint(path, {"not": "an accumulator"})
-        with pytest.raises(CheckpointError, match="wrong layout") as excinfo:
-            AuditAccumulator.load(path)
-        _assert_checkpoint_error(excinfo, path)
+        # surface as CheckpointError naming the layout, not a KeyError —
+        # nor an AttributeError for a payload that is not an object —
+        # and `repro merge-state` must exit 2 (bad input), not 1
+        for payload in ({"not": "an accumulator"}, [1, 2], "state", 7, None):
+            path = tmp_path / "wrong.state.json"
+            save_checkpoint(path, payload)
+            with pytest.raises(
+                CheckpointError, match="wrong layout"
+            ) as excinfo:
+                AuditAccumulator.load(path)
+            _assert_checkpoint_error(excinfo, path)
+            assert main(["merge-state", str(path)]) == 2
+            assert "wrong layout" in capsys.readouterr().err
+            if not isinstance(payload, dict):
+                with pytest.raises(AuditError, match="JSON object"):
+                    AuditAccumulator.from_dict(payload)
 
     def test_payload_with_mistyped_fields(self, tmp_path, hiring):
         path = self._state_file(tmp_path, hiring)
         envelope = json.loads(path.read_text())
-        envelope["payload"]["cells"] = "definitely not a table"
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(CheckpointError):
-            AuditAccumulator.load(path)
+        for cells in ("definitely not a table", {"ab": 1}, 5, None):
+            payload = {**envelope["payload"], "cells": cells}
+            path.write_text(json.dumps({**envelope, "payload": payload}))
+            with pytest.raises(CheckpointError, match="must be a list"):
+                AuditAccumulator.load(path)
+            with pytest.raises(AuditError, match="must be a list"):
+                AuditAccumulator.from_dict(payload)
 
     def _rewrite(self, path, edit):
         envelope = json.loads(path.read_text())

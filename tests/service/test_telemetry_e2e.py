@@ -11,7 +11,6 @@ import urllib.request
 
 import pytest
 
-from repro.kernel import use_backend
 from repro.observability import (
     EventBus,
     MetricsRegistry,
@@ -50,10 +49,10 @@ def _wait_done(server, job_id, timeout=120):
 
 
 class TestTracedScanEndToEnd:
-    # jobs > 1 is kernel-only by design: the reference backend runs the
-    # same traced scan serially, so both backends are covered end to end
+    # the pool scan (jobs=4) and the serial scan (jobs=1) are both
+    # traced end to end
     @pytest.mark.parametrize(
-        "backend,jobs", [("kernel", 4), ("reference", 1)]
+        "backend,jobs", [("kernel", 4), ("kernel", 1)]
     )
     def test_one_trace_from_post_to_pool_chunks(
         self, make_engine, hiring_csv, tmp_path, backend, jobs
@@ -61,26 +60,25 @@ class TestTracedScanEndToEnd:
         tracer = Tracer(run_id="svc")
         registry = MetricsRegistry()
         engine = make_engine(
-            f"svc-{backend}", tracer=tracer, metrics=registry
+            f"svc-{backend}-{jobs}", tracer=tracer, metrics=registry
         )
         server = serve(engine)
         incoming = TraceContext.generate()
         try:
-            with use_backend(backend):
-                status, _, raw = _request(
-                    server, "/jobs", method="POST",
-                    body={
-                        "kind": "subgroups",
-                        "params": {"data": hiring_csv},
-                        "config": {"jobs": jobs, "min_size": 5},
-                    },
-                    headers={"traceparent": incoming.to_traceparent()},
-                )
-                assert status == 201
-                job = json.loads(raw)
-                assert job["trace_id"] == incoming.trace_id
-                done = _wait_done(server, job["job_id"])
-                assert done["status"] == "succeeded"
+            status, _, raw = _request(
+                server, "/jobs", method="POST",
+                body={
+                    "kind": "subgroups",
+                    "params": {"data": hiring_csv},
+                    "config": {"jobs": jobs, "min_size": 5},
+                },
+                headers={"traceparent": incoming.to_traceparent()},
+            )
+            assert status == 201
+            job = json.loads(raw)
+            assert job["trace_id"] == incoming.trace_id
+            done = _wait_done(server, job["job_id"])
+            assert done["status"] == "succeeded"
         finally:
             server.shutdown()
 

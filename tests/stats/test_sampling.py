@@ -13,6 +13,7 @@ from repro.stats import (
     sample_complexity_curve,
     sample_from_distribution,
 )
+from tests.oracle.sampling import sample_complexity_curve as oracle_curve
 
 
 POPULATION = {"male": 0.5, "female": 0.5}
@@ -112,6 +113,17 @@ class TestSampleComplexityCurve:
             sample_complexity_curve(
                 DISTANCE_REGISTRY["hellinger"], SKEWED, POPULATION, []
             )
+
+    @pytest.mark.parametrize("name", sorted(DISTANCE_REGISTRY))
+    def test_seeded_curve_matches_per_trial_oracle(self, name):
+        # the batched trials consume the random stream exactly as one
+        # sample per trial does, so the seeded curves are identical
+        args = (DISTANCE_REGISTRY[name], {"a": 0.6, "b": 0.3, "c": 0.1},
+                POPULATION, [5, 40, 300])
+        kwargs = dict(n_trials=12, distance_name=name, random_state=3)
+        assert sample_complexity_curve(*args, **kwargs) == (
+            oracle_curve(*args, **kwargs)
+        )
 
     def test_bad_target_rejected(self):
         curve = sample_complexity_curve(

@@ -1,19 +1,24 @@
 """The tentpole guarantee: streamed == in-memory, byte for byte.
 
 Every test compares a streaming-engine report against the in-memory
-:class:`FairnessAudit` of the concatenated data, on both kernel
-backends, with provenance (per-run metadata: timings, fingerprints of
-the audited artifact) neutralised on both sides.
+:class:`FairnessAudit` of the concatenated data, with provenance
+(per-run metadata: timings, fingerprints of the audited artifact)
+neutralised on both sides.  The ``backend`` parametrisation picks what
+computes the in-memory side: ``"kernel"`` is the library, and
+``"reference"`` the pre-kernel battery of the test oracle
+(:func:`tests.oracle.reference_battery`), so a streamed report must
+also equal a whole pre-kernel audit.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.core.audit import FairnessAudit
 from repro.core.config import AuditConfig
-from repro.kernel import use_backend
 from repro.streaming import (
     AuditAccumulator,
     accumulator_for,
@@ -21,46 +26,48 @@ from repro.streaming import (
     finalize,
 )
 
+from tests.oracle import reference_battery
 from tests.streaming.conftest import chunked, comparable, comparable_markdown
 
 BACKENDS = ("kernel", "reference")
 
 
-def reference_report(dataset, predictions, config):
-    return FairnessAudit(dataset, predictions=predictions, config=config).run()
+def reference_report(dataset, predictions, config, backend="kernel"):
+    """The in-memory audit, on the library or on the oracle battery."""
+    battery = reference_battery if backend == "reference" else nullcontext
+    with battery():
+        return FairnessAudit(
+            dataset, predictions=predictions, config=config
+        ).run()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestChunkedEquivalence:
     def test_model_audit_dict_identical(self, hiring, predictions, backend):
         config = AuditConfig(tolerance=0.05)
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            stream = audit_stream(chunked(hiring, predictions), config)
+        ref = reference_report(hiring, predictions, config, backend)
+        stream = audit_stream(chunked(hiring, predictions), config)
         assert comparable(stream) == comparable(ref)
 
     def test_model_audit_markdown_identical(
         self, hiring, predictions, backend
     ):
         config = AuditConfig(tolerance=0.05)
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            stream = audit_stream(chunked(hiring, predictions), config)
+        ref = reference_report(hiring, predictions, config, backend)
+        stream = audit_stream(chunked(hiring, predictions), config)
         assert comparable_markdown(stream) == comparable_markdown(ref)
 
     def test_data_audit_identical(self, hiring, backend):
         config = AuditConfig(tolerance=0.05)
-        with use_backend(backend):
-            ref = FairnessAudit(hiring, config=config).run()
-            stream = audit_stream(chunked(hiring), config)
+        ref = reference_report(hiring, None, config, backend)
+        stream = audit_stream(chunked(hiring), config)
         assert comparable(stream) == comparable(ref)
         assert comparable_markdown(stream) == comparable_markdown(ref)
 
     def test_stratified_audit_identical(self, hiring, predictions, backend):
         config = AuditConfig(tolerance=0.05, strata="university")
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            stream = audit_stream(chunked(hiring, predictions), config)
+        ref = reference_report(hiring, predictions, config, backend)
+        stream = audit_stream(chunked(hiring, predictions), config)
         assert comparable(stream) == comparable(ref)
         assert comparable_markdown(stream) == comparable_markdown(ref)
 
@@ -68,9 +75,8 @@ class TestChunkedEquivalence:
         config = AuditConfig(
             metrics=("demographic_parity", "disparate_impact_ratio")
         )
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            stream = audit_stream(chunked(hiring, predictions), config)
+        ref = reference_report(hiring, predictions, config, backend)
+        stream = audit_stream(chunked(hiring, predictions), config)
         assert comparable(stream) == comparable(ref)
 
 
@@ -86,9 +92,8 @@ class TestShardedEquivalence:
             acc.ingest_dataset(hiring.take(idx), predictions[lo:hi])
             shards.append(acc)
         merged = AuditAccumulator.merge_all(shards)
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            report = finalize(merged, config)
+        ref = reference_report(hiring, predictions, config, backend)
+        report = finalize(merged, config)
         assert comparable(report) == comparable(ref)
         assert comparable_markdown(report) == comparable_markdown(ref)
 
@@ -108,9 +113,8 @@ class TestShardedEquivalence:
         from repro.streaming import merge_states
 
         merged = merge_states(paths)
-        with use_backend(backend):
-            ref = reference_report(hiring, predictions, config)
-            report = finalize(merged, config)
+        ref = reference_report(hiring, predictions, config, backend)
+        report = finalize(merged, config)
         assert comparable(report) == comparable(ref)
 
 
@@ -123,13 +127,16 @@ class TestChunkSizeInvariance:
         assert comparable(stream) == ref
 
     def test_backends_agree_on_stream(self, hiring, predictions):
+        # finalizing a stream runs FairnessAudit, so the oracle battery
+        # can finalize it too
         config = AuditConfig()
-        reports = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                reports[backend] = comparable(
-                    audit_stream(chunked(hiring, predictions), config)
-                )
+        reports = {"kernel": comparable(
+            audit_stream(chunked(hiring, predictions), config)
+        )}
+        with reference_battery():
+            reports["reference"] = comparable(
+                audit_stream(chunked(hiring, predictions), config)
+            )
         assert reports["kernel"] == reports["reference"]
 
 

@@ -17,7 +17,6 @@ import pytest
 from repro.core.config import ScanConfig
 from repro.data import Column, Schema, TabularDataset, make_intersectional
 from repro.exceptions import AuditError, CheckpointError, ValidationError
-from repro.kernel import use_backend
 from repro.streaming.accumulator import AuditAccumulator
 from repro.subgroup import (
     ScanState,
@@ -160,40 +159,20 @@ class TestStrategyEquivalence:
             exhaustive, config.alpha
         )
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("kernel", 1), ("kernel", 2), ("reference", 1),
-    ])
+    @pytest.mark.parametrize("backend,jobs", [("kernel", 1), ("kernel", 2)])
     def test_checkpoint_bytes_identical(
         self, dataset, tmp_path, backend, jobs
     ):
         paths = {}
         for strategy in ("exhaustive", "best_first"):
             path = tmp_path / f"{backend}-{jobs}-{strategy}.json"
-            with use_backend(backend):
-                scan_subgroups(
-                    dataset.labels(), dataset,
-                    config=ScanConfig(
-                        strategy=strategy, min_size=15, jobs=jobs
-                    ),
-                    checkpoint_path=str(path),
-                )
+            scan_subgroups(
+                dataset.labels(), dataset,
+                config=ScanConfig(strategy=strategy, min_size=15, jobs=jobs),
+                checkpoint_path=str(path),
+            )
             paths[strategy] = path.read_bytes()
         assert paths["exhaustive"] == paths["best_first"]
-
-    def test_checkpoint_bytes_identical_across_backends(
-        self, dataset, tmp_path
-    ):
-        blobs = []
-        for backend in ("kernel", "reference"):
-            path = tmp_path / f"{backend}.json"
-            with use_backend(backend):
-                scan_subgroups(
-                    dataset.labels(), dataset,
-                    config=ScanConfig(strategy="best_first", min_size=15),
-                    checkpoint_path=str(path),
-                )
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_exhaustive_strategy_matches_legacy_scan(self, intersectional):
         legacy = audit_subgroups(
@@ -211,14 +190,6 @@ class TestStrategyEquivalence:
         assert [f.adjusted_p_value for f in result.findings] == [
             f.adjusted_p_value for f in legacy
         ]
-
-    def test_jobs_require_kernel_backend(self, dataset):
-        with use_backend("reference"):
-            with pytest.raises(AuditError, match="backend"):
-                scan_subgroups(
-                    dataset.labels(), dataset,
-                    config=ScanConfig(strategy="best_first", jobs=2),
-                )
 
     def test_dispatch_through_audit_subgroups(self, dataset):
         findings = audit_subgroups(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import FairnessAudit
+from repro.core.config import AuditConfig
 from repro.core.serialize import (
     finding_to_dict,
     metric_result_to_dict,
@@ -73,7 +74,9 @@ class TestReportSerialisation:
         ds = make_hiring(
             n=1200, direct_bias=1.5, proxy_strength=0.8, random_state=7
         )
-        return FairnessAudit(ds, tolerance=0.05, strata="university").run()
+        return FairnessAudit(
+            ds, config=AuditConfig(tolerance=0.05, strata="university"),
+        ).run()
 
     def test_metric_result_dict(self):
         result = demographic_parity(

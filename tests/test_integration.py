@@ -11,6 +11,7 @@ from repro import (
     recommend_metrics,
 )
 from repro.core import demographic_parity, equal_opportunity
+from repro.core.config import AuditConfig
 from repro.mitigation import (
     FairLogisticRegression,
     GroupThresholds,
@@ -44,7 +45,7 @@ class TestHiringPipeline:
 
         # 2. audit flags it
         report = FairnessAudit(
-            test, predictions=base_preds, tolerance=0.05
+            test, predictions=base_preds, config=AuditConfig(tolerance=0.05),
         ).run()
         assert not report.is_clean
 
@@ -81,7 +82,7 @@ class TestCreditPipeline:
         ds = make_credit(
             n=5000, income_gap=1.2, redlining_strength=0.8, random_state=5
         )
-        report = FairnessAudit(ds, tolerance=0.05).run()
+        report = FairnessAudit(ds, config=AuditConfig(tolerance=0.05)).run()
         di = report.finding("race", "disparate_impact_ratio")
         assert not di.four_fifths.passes
         assert di.four_fifths.disadvantaged_group == "minority"
@@ -124,7 +125,7 @@ class TestCriteriaToAuditFlow:
         assert top.equality_concept == "equal_outcome"
 
         ds = make_hiring(n=1500, direct_bias=1.5, random_state=1)
-        report = FairnessAudit(ds, tolerance=0.05).run()
+        report = FairnessAudit(ds, config=AuditConfig(tolerance=0.05)).run()
         finding = report.finding("sex", top.metric)
         assert finding.status == "ok"
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import UseCaseProfile
+from repro.core.config import AuditConfig
 from repro.data import make_hiring
 from repro.models import LogisticRegression, Standardizer
 from repro.workflow import run_compliance_workflow
@@ -36,7 +37,8 @@ def clean():
 class TestWorkflow:
     def test_biased_data_fails(self, biased, profile):
         dossier = run_compliance_workflow(
-            biased, profile, tolerance=0.05, strata="university"
+            biased, profile,
+            config=AuditConfig(tolerance=0.05, strata="university"),
         )
         assert dossier.verdict == "fail"
         assert dossier.primary_metric in {
@@ -45,13 +47,15 @@ class TestWorkflow:
 
     def test_clean_data_passes(self, clean, profile):
         dossier = run_compliance_workflow(
-            clean, profile, tolerance=0.05, strata="university"
+            clean, profile,
+            config=AuditConfig(tolerance=0.05, strata="university"),
         )
         assert dossier.verdict == "pass"
 
     def test_primary_metric_is_top_feasible_evaluated(self, biased, profile):
         dossier = run_compliance_workflow(
-            biased, profile, tolerance=0.05, strata="university"
+            biased, profile,
+            config=AuditConfig(tolerance=0.05, strata="university"),
         )
         feasible = [r for r in dossier.recommendations if r.feasible]
         evaluated = {
@@ -63,7 +67,7 @@ class TestWorkflow:
 
     def test_statutes_resolved_for_sex(self, biased, profile):
         dossier = run_compliance_workflow(
-            biased, profile, strata="university"
+            biased, profile, config=AuditConfig(strata="university"),
         )
         keys = {s.key for s in dossier.statutes["sex"]}
         # from the generator's statute tags + the attribute-name lookup
@@ -80,8 +84,11 @@ class TestWorkflow:
         X = Standardizer().fit_transform(biased.feature_matrix())
         model = LogisticRegression(max_iter=600).fit(X, biased.labels())
         dossier = run_compliance_workflow(
-            biased, profile, predictions=model.predict(X),
-            probabilities=model.predict_proba(X), strata="university",
+            biased,
+            profile,
+            predictions=model.predict(X),
+            probabilities=model.predict_proba(X),
+            config=AuditConfig(strata="university"),
         )
         assert dossier.verdict == "fail"
         cal = dossier.audit.finding("sex", "calibration_within_groups")
@@ -89,7 +96,7 @@ class TestWorkflow:
 
     def test_markdown_rendering(self, biased, profile):
         dossier = run_compliance_workflow(
-            biased, profile, strata="university"
+            biased, profile, config=AuditConfig(strata="university"),
         )
         text = dossier.to_markdown()
         assert "Compliance dossier" in text
