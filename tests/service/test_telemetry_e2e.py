@@ -49,18 +49,19 @@ def _wait_done(server, job_id, timeout=120):
 
 
 class TestTracedScanEndToEnd:
-    # the pool scan (jobs=4) and the serial scan (jobs=1) are both
-    # traced end to end
+    # the pool scan (jobs=4) and the serial reference scan (jobs=1) are
+    # both traced end to end
     @pytest.mark.parametrize(
-        "backend,jobs", [("kernel", 4), ("kernel", 1)]
+        "jobs",
+        [pytest.param(4, id="kernel-4"), pytest.param(1, id="reference-1")],
     )
     def test_one_trace_from_post_to_pool_chunks(
-        self, make_engine, hiring_csv, tmp_path, backend, jobs
+        self, make_engine, hiring_csv, tmp_path, jobs
     ):
         tracer = Tracer(run_id="svc")
         registry = MetricsRegistry()
         engine = make_engine(
-            f"svc-{backend}-{jobs}", tracer=tracer, metrics=registry
+            f"svc-{jobs}", tracer=tracer, metrics=registry
         )
         server = serve(engine)
         incoming = TraceContext.generate()
