@@ -13,21 +13,26 @@ it:
   observed chunk is encoded *once, at ingest* into joint-contingency
   code space (one fleet-persistent
   :class:`~repro.kernel.codes.CategoryTable` per axis, shared by every
-  stream), so closing a window is slicing integer code arrays plus one
-  ``bincount`` folded into the stream's *cumulative*
-  :class:`~repro.streaming.accumulator.AuditAccumulator` via
-  :meth:`~repro.streaming.accumulator.AuditAccumulator.ingest_codes`.
-  Windows close by subtracting the previous base state
-  (:meth:`~repro.streaming.accumulator.AuditAccumulator.diff`), and
-  eligible configs are scored straight from the cell delta
-  (:meth:`MonitorFleet._evaluate_cells`), so window evaluation is
-  O(cells), not O(rows), and no row is ever re-encoded.
+  stream), so closing a window is slicing integer code arrays.
+  Eligible configs score a window straight from those codes
+  (:meth:`MonitorFleet._evaluate_cells`): one ``bincount`` gives a
+  dense (group × outcome cell) count delta over the tables' current
+  sizes, and every metric's per-group rates are one matrix product of
+  it.  Anything else builds the window's
+  :class:`~repro.streaming.accumulator.AuditAccumulator` from the same
+  codes and runs the full audit battery.
 
 * **Fleet multiplexing.**  N named streams share the code tables and
   one entry point (:meth:`observe`); ready windows close round-robin
   and the drift statistics for *all* of them are computed in one
   :mod:`repro.stats.batch` call over a (windows × metrics × groups)
   matrix rather than per-stream scalar loops.
+
+* **Drift state as arrays.**  Each stream's detector state — a
+  (keys × windows) gap history whose row-wise means are the running
+  baselines, CUSUM sums, look counters, per-group spending baselines —
+  is indexed by (attribute, metric) key and group code, so resolving a
+  window is a handful of vector operations (:class:`StreamState`).
 
 * **Sequential-testing-aware alerts.**  Repeated window tests inflate
   false alarms (Weerts et al., PAPERS.md); the
@@ -63,104 +68,44 @@ from repro.exceptions import AuditError
 from repro.kernel.codes import CategoryTable
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import get_tracer
-from repro.stats.batch import batch_two_proportion_z, batch_wilson_interval
+from repro.stats.batch import _two_proportion_z, _wilson_interval
 from repro.streaming.accumulator import AuditAccumulator
 from repro.streaming.monitor import DriftEvent, WindowResult
 from repro.streaming.stream import finalize
 
 __all__ = ["MonitorFleet", "StreamState"]
 
-#: battery metrics the O(cells) window scorer reproduces straight from
-#: a cell delta.  The conditional metrics and calibration are listed
-#: because without a strata column or probability scores — the only
-#: regime the fast path accepts — the materialised audit records them
-#: as skipped findings with no result, exactly what omitting them does.
-_FAST_SAFE_METRICS = frozenset({
-    "demographic_parity",
-    "conditional_statistical_parity",
-    "equal_opportunity",
-    "equalized_odds",
-    "demographic_disparity",
-    "conditional_demographic_disparity",
-    "predictive_parity",
-    "treatment_equality",
-    "false_positive_rate_parity",
-    "overall_accuracy_equality",
-    "disparate_impact_ratio",
-    "calibration_within_groups",
-})
-
-
-#: numerator/denominator pieces of the one-rate-per-group confusion
-#: metrics: (denominator tally indices, numerator tally index)
-_RATE_PIECES = {
-    "equal_opportunity": ((2, 3), 2),
-    "predictive_parity": ((2, 4), 2),
-    "treatment_equality": ((3, 4), 3),
-    "false_positive_rate_parity": ((4, 5), 4),
+#: per scored metric, the [denominator, numerator] of each group's rate
+#: as weights over its outcome cells ``2 * label_bit + prediction_bit``
+#: — [tn, fp, fn, tp]; a fleet without a separate label has only the
+#: first two, [prediction 0, prediction 1].  equalized_odds contrasts on
+#: its true-positive rate and also spreads the false-positive rate.
+_RATES = {
+    "demographic_parity": ((1, 1, 1, 1), (0, 1, 0, 1)),
+    "disparate_impact_ratio": ((1, 1, 1, 1), (0, 1, 0, 1)),
+    "demographic_disparity": ((1, 1, 1, 1), (0, 1, 0, 1)),
+    "overall_accuracy_equality": ((1, 1, 1, 1), (1, 0, 0, 1)),
+    "equal_opportunity": ((0, 0, 1, 1), (0, 0, 0, 1)),
+    "equalized_odds": ((0, 0, 1, 1), (0, 0, 0, 1)),
+    "predictive_parity": ((0, 1, 0, 1), (0, 0, 0, 1)),
+    "treatment_equality": ((0, 1, 1, 0), (0, 0, 1, 0)),
+    "false_positive_rate_parity": ((1, 1, 0, 0), (0, 1, 0, 0)),
 }
 
+#: the rate metrics that need no label distinct from the outcome
+_LABEL_FREE = ("demographic_parity", "disparate_impact_ratio",
+               "demographic_disparity")
 
-def _fast_metric(metric, groups, tallies, multi, has_label):
-    """Score one battery metric over one attribute's per-group tallies.
+#: battery metrics the array scorer reproduces: the rate metrics, and
+#: those the materialised audit records as skipped with no result in
+#: its regime (no strata column, no probability scores)
+_FAST_SAFE_METRICS = frozenset(_RATES) | {
+    "conditional_statistical_parity", "conditional_demographic_disparity",
+    "calibration_within_groups",
+}
 
-    ``tallies[group]`` is ``[n, pred_pos, tp, fn, fp, tn]`` and
-    ``groups`` is repr-sorted — the library-wide deterministic group
-    order, so rates divide the same Python ints in the same order as
-    the kernel-backed metric functions and every float is bit-identical
-    to a materialised audit.  Returns ``(gap, contrast_rows)`` or
-    ``None`` where the audit would record a skipped finding with no
-    result: fewer than two groups, missing labels, or a group with an
-    empty denominator (:class:`~repro.exceptions.InsufficientDataError`
-    territory).
-    """
-    if metric in ("demographic_parity", "disparate_impact_ratio"):
-        if not multi:
-            return None
-        stats = [(g, tallies[g][0], tallies[g][1]) for g in groups]
-        rates = [p / n for _g, n, p in stats]
-        return float(max(rates) - min(rates)), tuple(stats)
-    if metric == "demographic_disparity":
-        stats = [(g, tallies[g][0], tallies[g][1]) for g in groups]
-        worst = 0.0
-        for _g, n, p in stats:
-            short = 0.5 - p / n
-            if short > worst:
-                worst = short
-        return float(worst), tuple(stats)
-    if not has_label or not multi:
-        return None
-    if metric == "equalized_odds":
-        tpr, fpr, stats = [], [], []
-        for g in groups:
-            t = tallies[g]
-            pos, neg = t[2] + t[3], t[4] + t[5]
-            if pos == 0 or neg == 0:
-                return None
-            tpr.append(t[2] / pos)
-            fpr.append(t[4] / neg)
-            stats.append((g, pos, t[2]))
-        gap = max(max(tpr) - min(tpr), max(fpr) - min(fpr))
-        return float(gap), tuple(stats)
-    if metric == "overall_accuracy_equality":
-        stats = [
-            (g, tallies[g][0], tallies[g][2] + tallies[g][5]) for g in groups
-        ]
-        rates = [p / n for _g, n, p in stats]
-        return float(max(rates) - min(rates)), tuple(stats)
-    pieces = _RATE_PIECES.get(metric)
-    if pieces is None:
-        return None  # conditional_* / calibration: skipped in this regime
-    (a, b), num = pieces
-    stats = []
-    for g in groups:
-        t = tallies[g]
-        n = t[a] + t[b]
-        if n == 0:
-            return None
-        stats.append((g, n, t[num]))
-    rates = [p / n for _g, n, p in stats]
-    return float(max(rates) - min(rates)), tuple(stats)
+#: signs of a gap delta in the CUSUM upper and lower sums
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 class StreamState:
@@ -170,51 +115,48 @@ class StreamState:
     only through the fleet.  ``windows`` and ``drift_events`` are the
     stream's full histories, ``rows_seen`` counts rows already folded
     into closed windows, ``buffered`` the rows queued for the next one.
+
+    Detector state is held in arrays over the fleet's metric ``keys``
+    (``"attribute/metric"``): row ``k`` of ``gap_history`` holds key
+    ``k``'s gaps in its first ``filled[k]`` columns, ``cusum[:, k]`` its
+    CUSUM high and low, and ``look_counts[k]`` its alpha-spending looks.
+    Key ``k`` is metric ``k % n_metrics`` of attribute ``k // n_metrics``;
+    ``baseline_counts[a, g, m]`` is the spending baseline of that metric:
+    the cumulative ``[n, positives]`` of the group with code ``g`` in
+    attribute ``a``'s category table.
     """
 
     __slots__ = (
-        "name",
-        "acc",
-        "base",
-        "queue",
-        "buffered",
-        "rows_seen",
-        "windows_closed",
-        "windows",
-        "drift_events",
-        "gap_history",
-        "gap_buffer",
-        "baseline_counts",
-        "looks",
-        "cusum_hi",
-        "cusum_lo",
+        "name", "keys", "queue", "buffered", "rows_seen", "windows_closed",
+        "windows", "drift_events", "gap_history", "filled", "cusum",
+        "look_counts", "baseline_counts",
     )
 
-    def __init__(self, name: str, acc: AuditAccumulator):
+    def __init__(self, name: str, keys: tuple[str, ...], n_attributes: int):
         self.name = name
-        #: cumulative contingency state over every row ever observed
-        self.acc = acc
-        #: the cumulative state at the last window close (diff base)
-        self.base = acc.copy()
-        #: FIFO of pending chunk dicts (dim name -> numpy array)
+        self.keys = keys
+        #: FIFO of pending chunk dicts (dim name -> code array)
         self.queue: deque = deque()
         self.buffered = 0
         self.rows_seen = 0
         self.windows_closed = 0
         self.windows: list[WindowResult] = []
         self.drift_events: list[DriftEvent] = []
-        #: per-metric gap trajectory (threshold/cusum baselines)
-        self.gap_history: dict[str, list[float]] = {}
-        #: gap_history mirrored into amortised float64 buffers so the
-        #: running-baseline sum never reconverts the list: key ->
-        #: [buffer, filled]; buffer[:filled] == gap_history[key]
-        self.gap_buffer: dict[str, list] = {}
-        #: per-metric cumulative {group: [n, positives]} (spending baseline)
-        self.baseline_counts: dict[str, dict] = {}
-        #: per-metric sequential-test look counters (alpha spending)
-        self.looks: dict[str, int] = {}
-        self.cusum_hi: dict[str, float] = {}
-        self.cusum_lo: dict[str, float] = {}
+        self.gap_history = np.empty((len(keys), 16))
+        self.filled = np.zeros(len(keys), dtype=np.int64)
+        self.cusum = np.zeros((2, len(keys)))
+        self.look_counts = np.zeros(len(keys), dtype=np.int64)
+        self.baseline_counts = np.zeros(
+            (n_attributes, 0, len(keys) // n_attributes, 2), dtype=np.int64
+        )
+
+    @property
+    def looks(self) -> dict[str, int]:
+        """Alpha-spending looks per metric key; untested keys are absent."""
+        return {
+            self.keys[k]: int(self.look_counts[k])
+            for k in np.flatnonzero(self.look_counts).tolist()
+        }
 
     def __repr__(self) -> str:
         return (
@@ -228,27 +170,29 @@ class _Pending:
     """One closed-but-unresolved window awaiting the batched drift pass."""
 
     __slots__ = (
-        "state",
-        "index",
-        "start",
-        "end",
-        "gaps",
-        "violations",
-        "contrasts",
-        "decisions",
+        "state", "index", "start", "end", "violations", "rows", "gaps",
+        "contrasts", "baseline", "delta", "fired", "cusum", "spending",
         "events",
     )
 
-    def __init__(self, state, index, start, end, gaps, violations, contrasts):
+    def __init__(self, state, index, start, end, violations, rows, gaps,
+                 contrasts):
         self.state = state
         self.index = index
         self.start = start
         self.end = end
-        self.gaps = gaps
         self.violations = violations
-        #: per metric key: ((group, n, positives), ...) from the window
+        #: the key row of each scored metric, and its gap, in key order
+        self.rows = rows
+        self.gaps = gaps
+        #: (attribute, group code, [n, positives] per metric, whether
+        #: the metric scored the group non-empty) of each group present,
+        #: attribute-major in group order
         self.contrasts = contrasts
-        self.decisions: dict[str, dict] = {}
+        #: which of MONITOR_DETECTORS fired, per gap position, and gap
+        #: position -> (z, adjusted p, ci_low, ci_high) of spending alarms
+        self.fired = None
+        self.spending: dict[int, tuple] = {}
         self.events: list[DriftEvent] = []
 
 
@@ -301,40 +245,63 @@ class MonitorFleet:
         # shared append-only tables: codes stay valid across windows and
         # streams
         self._tables = {dim: CategoryTable() for dim in self._dims}
+        #: the label/prediction axes the array scorer maps to 0/1 bits
+        self._outcomes = tuple(
+            dim for dim in self._dims if dim in ("__label__", "__prediction__")
+        )
         self._streams: dict[str, StreamState] = {}
-        # window scoring strategy: when the config rules out everything
-        # the O(cells) scorer cannot reproduce — fault injection, a
-        # strata column, battery metrics outside _FAST_SAFE_METRICS —
-        # windows are scored straight from their cell deltas; otherwise
-        # each delta is materialised through the full audit battery
+        # every (attribute, metric) a window can score, in battery order;
+        # streams index their detector state by position in this list
+        metrics = self.config.battery()
+        self._pairs = tuple(
+            (attribute, metric)
+            for attribute in self.protected for metric in metrics
+        )
+        self._keys = tuple(f"{a}/{m}" for a, m in self._pairs)
+        self._rows = {pair: row for row, pair in enumerate(self._pairs)}
+        #: key row of each (metric, attribute), metric-major
+        self._metric_major = np.arange(len(self._pairs)).reshape(
+            len(self.protected), -1).T.ravel()
+        #: spending allowance per look position in the horizon, grown
+        #: on demand (the allowance has period ``horizon``)
+        self._allowances = np.empty(0)
+        # windows are scored straight from their codes unless the config
+        # asks for what the array scorer cannot reproduce (fault
+        # injection, a strata column, metrics outside _FAST_SAFE_METRICS)
         battery: tuple | None = None
         if self.config.faults is None and self.config.strata is None:
-            candidate = self.config.battery()
-            if all(metric in _FAST_SAFE_METRICS for metric in candidate):
-                battery = candidate
+            if all(metric in _FAST_SAFE_METRICS for metric in metrics):
+                battery = metrics
         self._battery = battery
-        # the subset the fast scorer actually iterates: metrics that
-        # _fast_metric unconditionally skips in this fleet's layout
-        # (conditional_*/calibration always; the confusion-matrix
-        # metrics when no separate label is tracked) never score, so
-        # drop them once here instead of re-deciding every window
-        self._fast_battery: tuple = ()
-        if battery is not None:
-            has_label = self.label is not None and not self.audits_labels
-            scoreable = frozenset(
-                ("demographic_parity", "disparate_impact_ratio",
-                 "demographic_disparity")
-            ) | (
-                frozenset(
-                    ("equal_opportunity", "equalized_odds",
-                     "predictive_parity", "treatment_equality",
-                     "false_positive_rate_parity",
-                     "overall_accuracy_equality")
-                ) if has_label else frozenset()
-            )
-            self._fast_battery = tuple(
-                metric for metric in battery if metric in scoreable
-            )
+        # one rate per battery metric, plus the false-positive rate
+        # equalized_odds spreads alongside its own; metrics the array
+        # scorer never scores (conditional, calibration, label metrics
+        # without a separate label) get zero weights, so empty
+        # denominators leave them unscored
+        has_label = self.label is not None and not self.audits_labels
+        rates = [
+            metric if metric in _RATES
+            and (has_label or metric in _LABEL_FREE) else None
+            for metric in metrics
+        ] + ["false_positive_rate_parity"]
+        #: (outcome cells × rates) weights, one [denominator, numerator]
+        #: column pair per rate
+        self._weights = np.array([
+            [_RATES[m][side][cell] if m else 0
+             for m in rates for side in (0, 1)]
+            for cell in range(2 ** len(self._outcomes))
+        ], dtype=np.int64)
+        self._dd = rates.index("demographic_disparity") \
+            if "demographic_disparity" in rates else None
+        #: the rate spread alongside each metric's own: equalized_odds
+        #: takes the larger of its two
+        self._partner = np.array([
+            len(metrics) if m == "equalized_odds" else i
+            for i, m in enumerate(rates[:-1])
+        ], dtype=np.int64)
+        #: the code-space layout the array scorer reads (see
+        #: :meth:`_layout`), rebuilt whenever a table has grown
+        self._cached_layout: tuple | None = None
 
     # -- stream registry -----------------------------------------------------
 
@@ -352,7 +319,7 @@ class MonitorFleet:
             raise AuditError("stream name must be a non-empty string")
         state = self._streams.get(name)
         if state is None:
-            state = StreamState(name, self._new_accumulator())
+            state = StreamState(name, self._keys, len(self.protected))
             self._streams[name] = state
         return state
 
@@ -380,8 +347,8 @@ class MonitorFleet:
         """Queue aligned arrays on a stream; return the windows it closed.
 
         Unknown stream names auto-register.  Arrays are queued as numpy
-        chunks — never converted to Python lists — and folded into code
-        space only when a window closes.
+        chunks — never converted to Python lists — and encoded into
+        code space once, here; windows close over those codes.
         """
         state = self.add_stream(stream)
         columns = self._validate_chunk(y_true, predictions, protected, strata)
@@ -501,25 +468,48 @@ class MonitorFleet:
     ) -> dict[str, np.ndarray]:
         """Encode a whole observed chunk into fleet-shared code space.
 
-        Chunks are encoded *once, at ingest* — the fleet's category
-        tables only ever append, so the codes stay valid no matter how
-        many windows later they are folded, and window closes reduce to
-        slicing integer arrays.  Encoding whole chunks instead of
-        window slices also amortises every per-call cost over the full
-        chunk length.
+        The category tables only ever append, so the codes stay valid
+        however many windows later they are counted; encoding whole
+        chunks amortises every per-call cost over the chunk length.
         """
         return {dim: self._tables[dim].encode(columns[dim]) for dim in self._dims}
 
-    def _fold(self, state: StreamState, codes: dict[str, np.ndarray]):
-        """Count a window of codes against the tables' *current* categories
-        — valid even after another stream grew a table, since categories
-        only ever append."""
-        state.acc.ingest_codes(
-            [(self._tables[dim].categories, codes[dim]) for dim in self._dims]
-        )
+    def _layout(self) -> tuple:
+        """``(sizes, offsets, order, attribute, code, cells)``: the array
+        scorer's view of the tables at their current sizes.
+
+        Row ``offsets[a] + c`` of the stacked count table is code ``c``
+        of attribute ``a``; ``order`` lists the rows attribute-major and
+        repr-sorted (the library-wide group order), ``attribute`` and
+        ``code`` name each listed row.  ``cells`` maps outcome codes to
+        the cell ``2 * label_bit + prediction_bit``, -1 if not binary.
+        """
+        sizes = tuple(len(table.categories) for table in self._tables.values())
+        if self._cached_layout is None or self._cached_layout[0] != sizes:
+            n_attrs = len(self.protected)
+            offsets = np.cumsum((0,) + sizes[:n_attrs - 1], dtype=np.int64)
+            order = np.concatenate([offset + np.argsort(np.array(
+                [repr(v) for v in self._tables[name].categories], dtype=str
+            ), kind="stable") for offset, name in zip(offsets, self.protected)])
+            attribute = np.repeat(np.arange(n_attrs), sizes[:n_attrs])
+            cells = np.zeros((), dtype=np.int64)
+            for dim in self._outcomes:
+                bits = np.array([
+                    1 if v == 1 else 0 if v == 0 else -1
+                    for v in self._tables[dim].categories
+                ], dtype=np.int64)
+                cells = np.where(
+                    (cells[..., None] < 0) | (bits < 0), -1,
+                    2 * cells[..., None] + bits,
+                )
+            self._cached_layout = (
+                sizes, offsets[:, None], order, attribute,
+                order - offsets[attribute], cells,
+            )
+        return self._cached_layout
 
     def _close_window(self, state: StreamState, size: int) -> _Pending:
-        arrays = self._take(state, size)
+        codes = self._take(state, size)
         index = state.windows_closed
         state.windows_closed += 1
         start = state.rows_seen
@@ -532,284 +522,287 @@ class MonitorFleet:
         with tracer.span(
             "streaming.window", stream=state.name, index=index, rows=size
         ):
-            self._fold(state, arrays)
-            delta = state.acc.diff(state.base)
-            state.base.restore(state.acc.snapshot())
-            gaps, violations, contrasts = self._evaluate(delta)
-        return _Pending(
-            state, index, start, state.rows_seen, gaps, violations, contrasts
-        )
+            scored = self._evaluate(codes)
+        return _Pending(state, index, start, state.rows_seen, *scored)
 
-    def _evaluate(self, delta: AuditAccumulator):
-        """Score one window's cell delta.
+    def _evaluate(self, codes: dict[str, np.ndarray]):
+        """Score one window's codes: ``(violations, key rows, gaps,
+        contrasts)`` as :class:`_Pending` holds them.
 
-        When the config admits it (``self._battery`` is set) the delta
-        is scored in O(cells) by :meth:`_evaluate_cells` — bit-identical
-        gaps and contrasts without materialising rows or re-running the
-        significance machinery the monitor discards.  Anything the fast
-        scorer cannot faithfully reproduce (fault injection, strata,
-        exotic battery subsets, non-binary outcome values) runs the full
-        materialised audit instead.
+        When the config admits it (``self._battery`` is set) the array
+        scorer :meth:`_evaluate_cells` reproduces the gaps and contrasts
+        bit for bit.  Anything it cannot (fault injection, strata,
+        non-binary outcome values) runs the full audit on an
+        accumulator of the same codes instead.
         """
         if self._battery is not None:
-            scored = self._evaluate_cells(delta)
+            scored = self._evaluate_cells(codes)
             if scored is not None:
                 return scored
+        delta = self._new_accumulator()
+        delta.ingest_codes(
+            [(self._tables[dim].categories, codes[dim]) for dim in self._dims]
+        )
         report = finalize(delta, self.config)
-        gaps: dict[str, float] = {}
-        violations: list[str] = []
-        contrasts: dict[str, tuple] = {}
+        _sizes, offsets, order, attribute, code, _cells = self._layout()
+        n_metrics = len(self._pairs) // len(self.protected)
+        violations, rows, gaps = [], [], []
+        # contrasts over the stacked group rows, as the array scorer has
+        tallies = np.zeros((len(order), n_metrics, 2), dtype=np.int64)
+        scored = np.zeros((len(order), n_metrics), dtype=bool)
         for finding in report.findings:
             if finding.result is None:
                 continue
-            key = f"{finding.attribute}/{finding.metric}"
-            gaps[key] = float(finding.result.gap)
+            row = self._rows[(finding.attribute, finding.metric)]
             if finding.status == "violation":
-                violations.append(key)
-            group_stats = getattr(finding.result, "group_stats", ()) or ()
-            contrasts[key] = tuple(
-                (gs.group, int(gs.n), int(gs.positives))
-                for gs in group_stats
-            )
-        return gaps, tuple(violations), contrasts
+                violations.append(self._keys[row])
+            axis, metric = divmod(row, n_metrics)
+            categories = self._tables[finding.attribute].categories
+            for gs in getattr(finding.result, "group_stats", ()) or ():
+                group = offsets[axis, 0] + categories.index(gs.group)
+                tallies[group, metric] = gs.n, gs.positives
+                scored[group, metric] = gs.n > 0
+            rows.append(row)
+            gaps.append(float(finding.result.gap))
+        present = scored[order].any(axis=1)
+        order = order[present]
+        return (
+            tuple(violations),
+            np.array(rows, dtype=np.int64),
+            np.array(gaps, dtype=float),
+            (attribute[present], code[present], tallies[order], scored[order]),
+        )
 
-    def _evaluate_cells(self, delta: AuditAccumulator):
-        """O(cells) window scorer: the battery straight from the delta.
+    def _evaluate_cells(self, codes: dict[str, np.ndarray]):
+        """Array window scorer: the battery straight from a window's codes.
 
-        One pass over the delta's cells marginalises the joint counts
-        into per-attribute ``[n, pred_pos, tp, fn, fp, tn]`` tallies;
-        :func:`_fast_metric` then reproduces each battery metric's gap
-        and group contrasts from the same integer counts the
-        materialised audit would derive, in the same repr-sorted group
-        order, so every float matches bit for bit.  Returns ``None`` —
-        deferring to the materialised audit — when an outcome or label
-        value is not binary, since the full battery's validation
-        behaviour is the contract there.
+        One ``bincount`` of (group row, outcome cell) is the window's
+        dense count delta; its present groups, in repr order, times the
+        :data:`_RATES` weights give every metric's per-group
+        denominators and numerators, and segmented min/max reductions
+        each attribute's gaps.  Rates divide the same integers as the
+        kernel-backed metric functions, so every gap matches the
+        materialised audit bit for bit.  Metrics the audit records as
+        skipped — fewer than two groups, an empty denominator — are left
+        out.  Returns ``None``, deferring to the materialised audit,
+        when an outcome or label value is not binary.
         """
-        dims = delta._dims
+        sizes, offsets, order, attribute, code, cells = self._layout()
         n_attrs = len(self.protected)
-        pred_axis = len(dims) - 1
-        has_label = self.label is not None and not self.audits_labels
-        label_axis = dims.index("__label__") if has_label else None
-        tallies: list[dict] = [{} for _ in range(n_attrs)]
-        for key, count in delta._cells.items():
-            pred = key[pred_axis]
-            if pred != 0 and pred != 1:
-                return None
-            y = None
-            if has_label:
-                y = key[label_axis]
-                if y != 0 and y != 1:
-                    return None
-            for axis in range(n_attrs):
-                tally = tallies[axis].get(key[axis])
-                if tally is None:
-                    tally = tallies[axis][key[axis]] = [0, 0, 0, 0, 0, 0]
-                tally[0] += count
-                if pred == 1:
-                    tally[1] += count
-                if y is not None:
-                    if y == 1:
-                        if pred == 1:
-                            tally[2] += count
-                        else:
-                            tally[3] += count
-                    elif pred == 1:
-                        tally[4] += count
-                    else:
-                        tally[5] += count
-        gaps: dict[str, float] = {}
-        contrasts: dict[str, tuple] = {}
-        for axis, attribute in enumerate(self.protected):
-            by_group = tallies[axis]
-            groups = sorted(by_group, key=repr)
-            multi = len(groups) >= 2
-            for metric in self._fast_battery:
-                scored = _fast_metric(
-                    metric, groups, by_group, multi, has_label
-                )
-                if scored is None:
-                    continue
-                gap, stats = scored
-                key = f"{attribute}/{metric}"
-                gaps[key] = gap
-                contrasts[key] = stats
-        return gaps, (), contrasts
+        cell = cells[tuple(codes[dim] for dim in self._outcomes)]
+        if (cell < 0).any():
+            return None
+        width = len(self._weights)
+        joint = np.array([codes[name] for name in self.protected])
+        joint = (joint + offsets) * width + cell
+        counts = np.bincount(
+            joint.ravel(), minlength=sum(sizes[:n_attrs]) * width
+        ).reshape(-1, width)[order]
+        present = counts.any(axis=1)
+        groups = list(sizes[:n_attrs])
+        if not present.all():
+            counts = counts[present]
+            attribute, code = attribute[present], code[present]
+            groups = np.bincount(attribute, minlength=n_attrs).tolist()
+        # per group and rate: [denominator, numerator]
+        tallies = (counts @ self._weights).reshape(len(counts), -1, 2)
+        dens, nums = tallies[..., 0], tallies[..., 1]
+        # an empty denominator never scores, so dividing it by 1 instead
+        # changes no gap
+        rates = nums / np.maximum(dens, 1)
+        starts = [sum(groups[:axis]) for axis in range(n_attrs)]
+        low = np.minimum.reduceat(rates, starts)
+        spread = np.maximum.reduceat(rates, starts) - low
+        scored = np.minimum.reduceat(dens, starts) > 0
+        if min(groups) < 2:
+            scored[np.array(groups) < 2] = False
+        gaps = np.maximum(spread[:, :-1], spread[:, self._partner])
+        scored = scored[:, :-1] & scored[:, self._partner]
+        if self._dd is not None:
+            # max(0.5 - rate) is 0.5 - min(rate): the subtraction is
+            # monotone, so the two round alike
+            gaps[:, self._dd] = np.maximum(0.5 - low[:, self._dd], 0.0)
+            scored[:, self._dd] = True
+        # scored[a, m] is key row a * n_metrics + m
+        return (
+            (), np.flatnonzero(scored), gaps[scored],
+            (attribute, code, tallies[:, :-1], scored[attribute]),
+        )
 
     # -- drift resolution ----------------------------------------------------
+
+    def _allowance(self, looks: np.ndarray) -> np.ndarray:
+        """The spending allowance of each 1-based look number, computed
+        once per position in the horizon (the allowance's period)."""
+        positions = (looks - 1) % self.monitor.horizon
+        known = len(self._allowances)
+        last = int(positions.max())
+        if last >= known:
+            self._allowances = np.concatenate([self._allowances, [
+                self.monitor.spending_allowance(look)
+                for look in range(known + 1, last + 2)
+            ]])
+        return self._allowances[positions]
 
     def _resolve_drift(self, pending: list[_Pending]) -> None:
         """Decide drift for every closed window in one batched pass.
 
-        Pass 1 walks windows in close order doing the inherently
-        sequential bookkeeping — running baselines, alpha-spending look
-        counters, CUSUM state — while collecting every
-        (window × metric × group) contrast into flat count vectors.
-        One :func:`~repro.stats.batch.batch_two_proportion_z` +
-        :func:`~repro.stats.batch.batch_wilson_interval` call then
-        scores them all, and pass 2 turns the scores into per-window
-        detector decisions.
+        Pass 1 walks windows in close order doing the sequential
+        bookkeeping — running baselines, look counters, CUSUM sums — as
+        array operations over each window's keys, collecting every
+        tested (window × metric × group) contrast.  One z-test batch
+        scores them all (and one Wilson batch the alarms), and pass 2
+        turns alarms into per-window drift events.
         """
         cfg = self.monitor
         detectors = cfg.detectors
-        use_threshold = "threshold" in detectors
-        use_spending = "spending" in detectors
-        use_cusum = "cusum" in detectors
         cusum_k = cfg.resolved_cusum_k()
         cusum_h = cfg.resolved_cusum_h()
-
-        successes_w: list[int] = []
-        trials_w: list[int] = []
-        successes_b: list[int] = []
-        trials_b: list[int] = []
-        tests: list[tuple[dict, list[int], float]] = []
+        n_attrs = len(self.protected)
+        #: per tested window: (window, tested gap positions, test sizes,
+        #: allowances)
+        tests: list[tuple] = []
+        #: per tested window: [n, positives, base n, base positives] rows
+        samples: list[np.ndarray] = []
 
         for p in pending:
             state = p.state
-            for key, gap in p.gaps.items():
-                history = state.gap_history.setdefault(key, [])
-                buf_entry = state.gap_buffer.get(key)
-                if buf_entry is None:
-                    buf_entry = state.gap_buffer[key] = [np.empty(16), 0]
-                if history:
-                    # same pairwise sum np.mean performs over the same
-                    # float64 values, minus its dispatch overhead and
-                    # the per-window list conversion — bit-identical
-                    # baselines at a fraction of the cost
-                    buf, filled = buf_entry
-                    baseline = float(
-                        np.add.reduce(buf[:filled]) / filled
+            rows, gaps = p.rows, p.gaps
+            if not len(rows):
+                continue
+            filled = state.filled[rows]
+            lengths = set(filled.tolist())
+            seen = filled > 0
+            # the running baseline: the same pairwise sum np.mean takes
+            # over each key's gap history, one row-wise reduce per
+            # history length
+            baseline = np.zeros(len(rows))
+            for length in lengths - {0}:
+                pick = filled == length
+                baseline[pick] = np.add.reduce(
+                    state.gap_history[rows[pick], :length], axis=1
+                ) / length
+            p.baseline = baseline
+            p.delta = delta = gaps - baseline
+            p.fired = fired = np.zeros(
+                (len(MONITOR_DETECTORS), len(rows)), dtype=bool
+            )
+            if "threshold" in detectors:
+                fired[0] = seen & (np.abs(delta) > cfg.drift_threshold)
+            if "cusum" in detectors:
+                # rows: the upper and lower one-sided sums
+                before = state.cusum[:, rows]
+                track = before + delta * _SIDES - cusum_k
+                track = np.where(track > 0.0, track, 0.0)
+                fired[2] = alarm = seen & (track > cusum_h).any(axis=0)
+                if alarm.any():
+                    p.cusum = np.where(
+                        track[0] >= track[1], track[0], -track[1]
                     )
-                    delta = gap - baseline
-                    # decisions are sparse: a dict materialises only
-                    # when a detector fires (or a spending test queues),
-                    # so null windows cost pass 2 nothing
-                    decision = None
-                    if use_threshold and abs(delta) > cfg.drift_threshold:
-                        decision = {
-                            "gap": gap, "baseline": baseline,
-                            "delta": delta, "threshold": True,
-                        }
-                    if use_cusum:
-                        hi = max(
-                            0.0,
-                            state.cusum_hi.get(key, 0.0) + delta - cusum_k,
-                        )
-                        lo = max(
-                            0.0,
-                            state.cusum_lo.get(key, 0.0) - delta - cusum_k,
-                        )
-                        if max(hi, lo) > cusum_h:
-                            if decision is None:
-                                decision = {
-                                    "gap": gap, "baseline": baseline,
-                                    "delta": delta,
-                                }
-                            decision["cusum"] = hi if hi >= lo else -lo
-                            hi = lo = 0.0
-                        state.cusum_hi[key] = hi
-                        state.cusum_lo[key] = lo
-                    if use_spending:
-                        baseline_counts = state.baseline_counts.get(key, {})
-                        rows: list[int] = []
-                        for group, n, positives in p.contrasts.get(key, ()):
-                            base = baseline_counts.get(group)
-                            if n > 0 and base is not None and base[0] > 0:
-                                rows.append(len(trials_w))
-                                successes_w.append(positives)
-                                trials_w.append(n)
-                                successes_b.append(base[1])
-                                trials_b.append(base[0])
-                        if rows:
-                            look = state.looks.get(key, 0) + 1
-                            state.looks[key] = look
-                            if decision is None:
-                                decision = {
-                                    "gap": gap, "baseline": baseline,
-                                    "delta": delta,
-                                }
-                            tests.append(
-                                (decision, rows, cfg.spending_allowance(look))
-                            )
-                    if decision is not None:
-                        p.decisions[key] = decision
-                history.append(gap)
-                buf, filled = buf_entry
-                if filled == len(buf):
-                    grown = np.empty(2 * filled)
-                    grown[:filled] = buf
-                    buf_entry[0] = buf = grown
-                buf[filled] = gap
-                buf_entry[1] = filled + 1
-                if use_spending:
-                    bucket = state.baseline_counts.setdefault(key, {})
-                    for group, n, positives in p.contrasts.get(key, ()):
-                        entry = bucket.setdefault(group, [0, 0])
-                        entry[0] += n
-                        entry[1] += positives
+                    track[:, alarm] = 0.0
+                state.cusum[:, rows] = np.where(seen, track, before)
+            if "spending" in detectors:
+                attribute, code, tallies, scored = p.contrasts
+                counts = state.baseline_counts
+                grow = max(len(self._tables[a].categories)
+                           for a in self.protected) - counts.shape[1]
+                if grow > 0:
+                    state.baseline_counts = counts = np.pad(counts, (
+                        (0, 0), (0, max(grow, counts.shape[1])), (0, 0), (0, 0)
+                    ))
+                base = counts[attribute, code]
+                # a scored group is non-empty, and one with baseline
+                # counts implies its key has a gap history
+                tested = scored & (base[..., 0] > 0)
+                if tested.any():
+                    # metric-major, then group rows (attribute-major):
+                    # each tested key's rows form one contiguous run
+                    metric, group = np.nonzero(tested.T)
+                    runs = np.bincount(metric * n_attrs + attribute[group])
+                    looked = np.flatnonzero(runs)
+                    keys = self._metric_major[looked]
+                    looks = state.look_counts[keys] + 1
+                    state.look_counts[keys] = looks
+                    # gap order is key order, so positions are ranks
+                    tests.append((
+                        p, np.searchsorted(rows, keys), runs[looked],
+                        self._allowance(looks),
+                    ))
+                    samples.append(np.concatenate(
+                        (tallies, base), axis=2
+                    )[group, metric].T)
+                # (attribute, group) rows are unique within a window
+                counts[attribute, code] = base + tallies * scored[..., None]
+            if max(lengths) == state.gap_history.shape[1]:
+                state.gap_history = np.pad(
+                    state.gap_history, ((0, 0), (0, max(lengths)))
+                )
+            state.gap_history[rows, filled] = gaps
+            state.filled[rows] = filled + 1
 
         if tests:
-            z, p_values = batch_two_proportion_z(
-                successes_w, trials_w, successes_b, trials_b
+            n, positives, base_n, base_positives = np.concatenate(
+                samples, axis=1
             )
-            ci_low, ci_high = batch_wilson_interval(successes_w, trials_w)
-            for decision, rows, allowance in tests:
-                best = max(rows, key=lambda r: abs(float(z[r])))
-                # Bonferroni across the metric's groups keeps the
-                # per-look spend within its allowance
-                p_adj = min(1.0, float(p_values[best]) * len(rows))
-                if p_adj <= allowance:
-                    decision["spending"] = (
-                        float(z[best]),
-                        p_adj,
-                        float(ci_low[best]),
-                        float(ci_high[best]),
+            z, p_values = _two_proportion_z(
+                positives, n, base_positives, base_n
+            )
+            sizes = np.concatenate([size for _p, _at, size, _a in tests])
+            starts = np.cumsum(sizes) - sizes
+            # the first row of each test with the largest |z|
+            magnitude = np.abs(z)
+            peak = np.maximum.reduceat(magnitude, starts)
+            best = np.minimum.reduceat(
+                np.where(
+                    magnitude == np.repeat(peak, sizes),
+                    np.arange(len(z)), len(z),
+                ),
+                starts,
+            )
+            # Bonferroni across the metric's groups keeps the per-look
+            # spend within its allowance
+            adjusted = p_values[best] * sizes
+            adjusted = np.where(adjusted < 1.0, adjusted, 1.0)
+            allowances = np.concatenate([a for _p, _at, _s, a in tests])
+            alarms = np.flatnonzero(adjusted <= allowances)
+            if len(alarms):
+                # only an alarm reports its window's Wilson interval
+                best = best[alarms]
+                ci_low, ci_high = _wilson_interval(
+                    positives[best], n[best], 0.95
+                )
+                where = [(p, i) for p, at, _s, _a in tests for i in at]
+                for j, t in enumerate(alarms.tolist()):
+                    p, position = where[t]
+                    p.fired[1, position] = True
+                    p.spending[position] = (
+                        float(z[best[j]]), float(adjusted[t]),
+                        float(ci_low[j]), float(ci_high[j]),
                     )
 
-        order = [d for d in MONITOR_DETECTORS if d in detectors]
         for p in pending:
-            for key, decision in p.decisions.items():
-                attribute, metric = key.split("/", 1)
-                for detector in order:
-                    event = None
-                    if detector == "threshold" and decision.get("threshold"):
-                        event = DriftEvent(
-                            window=p.index,
-                            attribute=attribute,
-                            metric=metric,
-                            value=decision["gap"],
-                            baseline=decision["baseline"],
-                            delta=decision["delta"],
-                        )
-                    elif detector == "spending" and "spending" in decision:
-                        statistic, p_adj, low, high = decision["spending"]
-                        event = DriftEvent(
-                            window=p.index,
-                            attribute=attribute,
-                            metric=metric,
-                            value=decision["gap"],
-                            baseline=decision["baseline"],
-                            delta=decision["delta"],
-                            reason="spending",
-                            statistic=statistic,
-                            p_value=p_adj,
-                            ci_low=low,
-                            ci_high=high,
-                        )
-                    elif detector == "cusum" and "cusum" in decision:
-                        event = DriftEvent(
-                            window=p.index,
-                            attribute=attribute,
-                            metric=metric,
-                            value=decision["gap"],
-                            baseline=decision["baseline"],
-                            delta=decision["delta"],
-                            reason="cusum",
-                            statistic=decision["cusum"],
-                        )
-                    if event is not None:
-                        p.events.append(event)
-                        break
+            if p.fired is None or not p.fired.any():
+                continue
+            reasons = p.fired.argmax(axis=0)
+            for i in np.flatnonzero(p.fired.any(axis=0)).tolist():
+                attribute, metric = self._pairs[p.rows[i]]
+                reason = MONITOR_DETECTORS[reasons[i]]
+                extra = {}
+                if reason == "spending":
+                    statistic, p_adj, low, high = p.spending[i]
+                    extra = dict(reason=reason, statistic=statistic,
+                                 p_value=p_adj, ci_low=low, ci_high=high)
+                elif reason == "cusum":
+                    extra = dict(reason=reason, statistic=float(p.cusum[i]))
+                p.events.append(DriftEvent(
+                    window=p.index,
+                    attribute=attribute,
+                    metric=metric,
+                    value=float(p.gaps[i]),
+                    baseline=float(p.baseline[i]),
+                    delta=float(p.delta[i]),
+                    **extra,
+                ))
 
     def _finalize_pending(
         self, pending: list[_Pending]
@@ -825,7 +818,10 @@ class MonitorFleet:
                 index=p.index,
                 start_row=p.start,
                 end_row=p.end,
-                gaps=p.gaps,
+                gaps=dict(zip(
+                    [self._keys[row] for row in p.rows.tolist()],
+                    p.gaps.tolist(),
+                )),
                 violations=p.violations,
                 drift=tuple(p.events),
                 stream=state.name,

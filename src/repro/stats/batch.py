@@ -38,7 +38,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import ndtr, ndtri
 
 from repro._validation import (
     check_array_1d,
@@ -149,7 +149,13 @@ def batch_two_proportion_z(
         raise ValidationError("both groups must be non-empty")
     if (sa > na).any() or (sb > nb).any():
         raise ValidationError("successes cannot exceed group size")
+    return _two_proportion_z(sa, na, sb, nb)
 
+
+def _two_proportion_z(sa, na, sb, nb) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic of :func:`batch_two_proportion_z`, on int64 count
+    vectors already known to be valid (callers that built the counts
+    themselves skip the re-validation)."""
     with _infer_span("two_proportion_z", len(sa)):
         p_a = sa / na
         p_b = sb / nb
@@ -163,7 +169,7 @@ def batch_two_proportion_z(
         p_value = np.where(
             degenerate,
             np.where(equal, 1.0, 0.0),
-            2.0 * sp_stats.norm.sf(np.abs(z)),
+            2.0 * ndtr(-np.abs(z)),
         )
     return z, p_value
 
@@ -186,8 +192,13 @@ def batch_wilson_interval(
     if ((s < 0) | (s > n)).any():
         raise ValidationError("successes must lie in [0, n]")
     check_probability(confidence, "confidence")
-    z = float(sp_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    return _wilson_interval(s, n, confidence)
 
+
+def _wilson_interval(s, n, confidence) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic of :func:`batch_wilson_interval`, on int64 count
+    vectors and a confidence already known to be valid."""
+    z = float(ndtri(1.0 - (1.0 - confidence) / 2.0))
     with _infer_span("wilson", len(s)):
         p = s / n
         denom = 1.0 + z**2 / n
@@ -221,8 +232,8 @@ def batch_min_detectable_gap(
         raise ValidationError(f"base_rate must be in [0, 1], got {bad}")
     check_probability(alpha, "alpha")
     check_probability(power, "power")
-    z_alpha = float(sp_stats.norm.ppf(1.0 - alpha / 2.0))
-    z_beta = float(sp_stats.norm.ppf(power))
+    z_alpha = float(ndtri(1.0 - alpha / 2.0))
+    z_beta = float(ndtri(power))
 
     with _infer_span("min_detectable_gap", len(na)):
         variance = rate * (1.0 - rate) * (1.0 / na + 1.0 / nb)

@@ -143,7 +143,8 @@ def _batched_estimates(
     empirical dicts are built in the sorted-key order
     :func:`empirical_distribution` would produce, with zero-count
     values dropped, so any distance callable sees the same input as
-    with one sample per trial.
+    with one sample per trial.  Keys with no total order (mixed types)
+    keep the population's own order instead, which compares nothing.
     """
     from repro.stats.batch import _infer_span
 
@@ -155,7 +156,10 @@ def _batched_estimates(
             (np.arange(n_trials)[:, None] * n_keys + samples).ravel(),
             minlength=n_trials * n_keys,
         ).reshape(n_trials, n_keys)
-        order = sorted(range(n_keys), key=lambda i: keys[i])
+        try:
+            order = sorted(range(n_keys), key=lambda i: keys[i])
+        except TypeError:
+            order = range(n_keys)
         estimates = np.empty(n_trials)
         for t in range(n_trials):
             empirical = {

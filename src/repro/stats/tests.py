@@ -77,6 +77,12 @@ def chi_square_independence(table, correction: bool = True) -> TestResult:
     identical p-value, while the Yates-corrected statistic is smaller
     (more conservative).  Pass ``correction=False`` when cross-checking
     a chi-square verdict against a z-test on the same table.
+
+    An all-zero row or column (an empty group, or an outcome no row
+    takes — constant predictions) carries no evidence either way and
+    has no expected frequency, so it is left out.  When fewer than two
+    rows or columns remain, the table shows no association: statistic
+    0, p-value 1.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or min(table.shape) < 2:
@@ -87,6 +93,9 @@ def chi_square_independence(table, correction: bool = True) -> TestResult:
         raise ValidationError("table counts must be non-negative")
     if table.sum() == 0:
         raise ValidationError("table must contain observations")
+    table = table[table.any(axis=1)][:, table.any(axis=0)]
+    if min(table.shape) < 2:
+        return TestResult(0.0, 1.0, "chi_square")
     statistic, p_value, __, __ = sp_stats.chi2_contingency(
         table, correction=correction
     )

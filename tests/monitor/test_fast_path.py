@@ -1,7 +1,7 @@
 """The O(cells) window scorer is bit-identical to the materialised audit.
 
-``MonitorFleet._evaluate`` scores eligible windows straight from the
-cell delta (:meth:`_evaluate_cells`) instead of materialising rows and
+``MonitorFleet._evaluate`` scores eligible windows straight from their
+codes (:meth:`_evaluate_cells`) instead of materialising rows and
 re-running the full audit.  These tests force the slow path by nulling
 ``fleet._battery`` and require the two scorers to produce *identical*
 window dictionaries, drift events, and look counters — every float bit
@@ -169,11 +169,10 @@ class TestEligibility:
             monitor=MonitorConfig(window=30),
         )
         assert fleet._battery is not None
-        state = fleet.add_stream("s")
-        state.acc.ingest(
+        codes = fleet._encode_chunk(fleet._validate_chunk(
             y_true=np.array([1, 0]),
             predictions=np.array([2, 0]),
             protected={"sex": np.array(["a", "b"])},
-        )
-        delta = state.acc.diff(state.base)
-        assert fleet._evaluate_cells(delta) is None
+            strata=None,
+        ))
+        assert fleet._evaluate_cells(codes) is None

@@ -294,12 +294,20 @@ class TestIngestPlane:
             ["sex"], config=CFG, monitor=MonitorConfig(window=128)
         )
         y, p, sex = population(1000, bias=0.2, seed=16)
+        counted = []
+        evaluate = fleet._evaluate
+
+        def spy(codes):
+            counted.append(len(codes["sex"]))
+            return evaluate(codes)
+
+        fleet._evaluate = spy
         fleet.observe("s", y_true=y, predictions=p,
                       protected={"sex": sex})
         fleet.flush()
         state = fleet.stream("s")
         assert state.rows_seen == 1000
-        assert state.acc.n_rows == 1000
+        assert sum(counted) == 1000
         assert sum(w.n_rows for w in state.windows) == 1000
 
     def test_empty_observe_is_a_noop(self):

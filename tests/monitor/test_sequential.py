@@ -125,8 +125,9 @@ class TestCusum:
         )
         state = fleet.stream("s")
         assert len(state.drift_events) == 1
-        assert state.cusum_hi[KEY] == 0.0
-        assert state.cusum_lo[KEY] == 0.0
+        hi, lo = state.cusum[:, state.keys.index(KEY)]
+        assert hi == 0.0
+        assert lo == 0.0
 
     def test_null_stream_never_alarms(self, exact_window):
         monitor = MonitorConfig(
@@ -199,7 +200,9 @@ class TestPrecedenceAndBaselines:
         _feed(
             fleet, [(0.5, 0.5), (0.3, 0.5), (0.3, 0.5)], exact_window
         )
-        history = fleet.stream("s").gap_history[KEY]
+        state = fleet.stream("s")
+        row = state.keys.index(KEY)
+        history = state.gap_history[row, :state.filled[row]].tolist()
         assert history == pytest.approx([0.0, 0.2, 0.2])
 
 

@@ -5,10 +5,14 @@ for one sample size as a single ``(n_trials × n)`` matrix.  This is the
 loop it replaced, kept verbatim: one categorical sample per trial,
 reduced with :func:`~repro.stats.sampling.empirical_distribution`.  It
 consumes the random stream identically, so a seeded curve must match
-the library's exactly.
+the library's exactly.  Population keys with no total order (mixed
+types) cannot go through ``empirical_distribution``'s sort; their
+empirical dicts follow the population's own order, as the library's do.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -43,7 +47,7 @@ def sample_complexity_curve(
         estimates = np.empty(n_trials)
         for t in range(n_trials):
             sample = sample_from_distribution(population, n, rng)
-            estimates[t] = distance(empirical_distribution(sample), reference)
+            estimates[t] = distance(_empirical(sample, population), reference)
         errors = np.abs(estimates - true_value)
         points.append(
             SampleComplexityPoint(
@@ -58,3 +62,13 @@ def sample_complexity_curve(
         true_value=true_value,
         points=tuple(points),
     )
+
+
+def _empirical(sample, population):
+    try:
+        return empirical_distribution(sample)
+    except TypeError:
+        counts = Counter(sample.tolist())
+        return {
+            key: counts[key] / len(sample) for key in population if counts[key]
+        }

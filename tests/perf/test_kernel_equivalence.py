@@ -22,7 +22,7 @@ from repro.core import FairnessAudit, audit, metrics as library
 from repro.core.audit import intersection_column
 from repro.core.config import AuditConfig
 from repro.data import make_hiring, make_intersectional
-from repro.exceptions import InsufficientDataError, MetricError
+from repro.exceptions import InsufficientDataError, MetricError, ReproError
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from tests.oracle import metrics as oracle
 from tests.oracle import reference_battery
@@ -69,11 +69,13 @@ def result_signature(result):
 
 
 def outcome(call, arrays):
-    """A call's result signature, or the type, message and group it
-    raised — as a repr, so NaN fields compare equal bit for bit."""
+    """A call's result signature, or the type, message and group of the
+    named ``repro`` error it raised — as a repr, so NaN fields compare
+    equal bit for bit.  Any other exception propagates: raising a raw
+    error identically is not equivalence, it is a shared defect."""
     try:
         return repr(("ok", result_signature(call(arrays))))
-    except Exception as exc:  # noqa: BLE001 — the oracle must raise alike
+    except ReproError as exc:
         return repr(("raise", type(exc), str(exc), getattr(exc, "group", None)))
 
 
@@ -195,10 +197,22 @@ LIBRARY_CALLS = _calls(library)
 ORACLE_CALLS = _calls(oracle)
 
 
+#: constant predictions across three groups: the significance test's
+#: contingency table has an all-zero column
+CONSTANT = {
+    **HIRING,
+    "predictions": np.zeros(len(HIRING["predictions"]), dtype=np.int64),
+    "protected": np.array(["a", "b", "c"])[
+        np.arange(len(HIRING["predictions"])) % 3
+    ],
+}
+
+
 @pytest.mark.parametrize("metric", sorted(LIBRARY_CALLS))
 @FAST
 @given(arrays=metric_inputs())
 @example(arrays=HIRING)
+@example(arrays=CONSTANT)
 def test_every_section_iii_metric_is_backend_identical(metric, arrays):
     assert outcome(LIBRARY_CALLS[metric], arrays) == outcome(
         ORACLE_CALLS[metric], arrays
@@ -215,6 +229,29 @@ def test_numeric_group_values_keep_repr_order():
     kernel = library.demographic_parity(predictions, protected)
     assert [gs.group for gs in kernel.group_stats] == [1, 10, 2]
     assert result_signature(kernel) == result_signature(reference)
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("impl", [library, oracle], ids=["library", "oracle"])
+def test_constant_predictions_report_no_association(impl, value):
+    protected = np.array(["a", "b", "c"] * 20)
+    result = impl.demographic_parity(
+        np.full(len(protected), value), protected, with_significance=True
+    )
+    assert result.gap == 0.0
+    assert (result.significance.statistic, result.significance.p_value) \
+        == (0.0, 1.0)
+
+
+def test_audit_with_constant_predictions_is_not_degraded():
+    # three or more intersectional groups, every prediction 0: parity,
+    # not an error finding
+    data = make_intersectional(600, random_state=0)
+    report = FairnessAudit(
+        data, predictions=np.zeros(data.n_rows, dtype=np.int64)
+    ).run()
+    assert not report.degraded
+    assert all(f.status != "error" for f in report.intersectional_findings)
 
 
 def _raised(call, arrays, error):

@@ -26,6 +26,7 @@ import pytest
 from repro.core.config import AuditConfig, ScanConfig
 from repro.data import Column, Schema, TabularDataset, make_intersectional
 from repro.data.io import save_dataset
+from repro.data.ooc import pack_dataset
 from repro.exceptions import ValidationError
 from repro.observability.metrics import MetricsRegistry
 from repro.service import JobEngine, serve
@@ -215,6 +216,69 @@ class TestScanJobsHTTP:
             "params": {"data": intersectional_csv},
             "scan_config": ["not", "an", "object"],
         }, expect=400)
+
+
+#: the planted order-2 subgroup of :func:`_planted_lattice`
+_PLANTED = (("g0", "c0"), ("g1", "c1"))
+
+
+def _planted_lattice(n_rows=5000, seed=0):
+    """Five 7-category protected attributes with one planted order-2 gap:
+    rows inside ``_PLANTED`` are labelled positive far more often."""
+    rng = np.random.default_rng(seed)
+    cats = tuple(f"c{i}" for i in range(7))
+    columns, data = [], {}
+    for i in range(5):
+        name = f"g{i}"
+        columns.append(
+            Column(name, kind="categorical", role="protected", categories=cats)
+        )
+        data[name] = rng.choice(np.array(cats), size=n_rows)
+    columns.append(Column("y", kind="binary", role="label"))
+    (a, va), (b, vb) = _PLANTED
+    rate = 0.5 + 0.3 * ((data[a] == va) & (data[b] == vb))
+    data["y"] = (rng.random(n_rows) < rate).astype(np.int64)
+    return TabularDataset(Schema(tuple(columns)), data)
+
+
+class TestLatticeStrategiesAgree:
+    """The default-path and best-first scans of one packed lattice return
+    the result fields clients read, agree on every flagged subgroup and
+    its adjusted p-value, and flag the planted subgroup."""
+
+    def test_default_and_best_first_jobs_agree(self, make_engine, tmp_path):
+        path = str(pack_dataset(_planted_lattice(), tmp_path / "lat.packed"))
+        engine = make_engine()
+        jobs = {
+            "default": engine.submit(
+                "subgroups", {"data": path},
+                config={"max_order": 3, "min_size": 20},
+            ),
+            "best_first": engine.submit("subgroups", {
+                "data": path,
+                "scan_config": {
+                    "strategy": "best_first", "max_order": 3, "min_size": 20,
+                },
+            }),
+        }
+        flagged = {}
+        for name, job in jobs.items():
+            record = engine.wait(job.job_id, timeout=120)
+            assert record.status == "succeeded", record.error
+            raw = json.loads(engine.store.get_bytes(record.result_key))
+            assert raw["findings"]
+            for finding in raw["findings"]:
+                assert {"conditions", "adjusted_p_value", "significant"} \
+                    <= set(finding)
+            flagged[name] = sorted(
+                (json.dumps(f["conditions"]), f["adjusted_p_value"])
+                for f in raw["findings"] if f["significant"]
+            )
+            if name == "best_first":
+                assert 0 < raw["scan"]["evaluated"] <= raw["scan"]["total"]
+        assert flagged["default"] == flagged["best_first"]
+        planted = json.dumps([list(pair) for pair in _PLANTED])
+        assert planted in {conditions for conditions, _p in flagged["default"]}
 
 
 def _wide_pair(prefix_path, full_path, n_prefix=60000, n_full=80000, seed=0):
