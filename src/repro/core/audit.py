@@ -305,24 +305,12 @@ def intersection_column(
     # (few) cross-product labels instead of the (many) rows: without
     # it, the first metric over `combined` np.unique-sorts an n-row
     # string array — the dominant time *and* transient-memory cost
-    # of a large audit.  The table must match what encode(combined)
-    # would build bit for bit: only categories present in the rows,
-    # in repr-sorted order.
+    # of a large audit.  `from_codes` builds exactly what
+    # encode(combined) would: only labels present in the rows, in
+    # repr-sorted order.
     from repro.kernel.codes import CodeTable, cache_put
 
-    present = np.bincount(codes, minlength=len(labels)) > 0
-    uniques = np.sort(labels[present])
-    unique_list = uniques.tolist()
-    order = sorted(
-        range(len(unique_list)), key=lambda i: repr(unique_list[i])
-    )
-    cats = [unique_list[i] for i in order]
-    positions = {category: code for code, category in enumerate(cats)}
-    remap = np.full(len(labels), -1, dtype=np.int64)
-    for label_index in np.flatnonzero(present):
-        remap[label_index] = positions[labels[label_index]]
-    table = CodeTable(cats, uniques[order], remap[codes])
-    cache_put((combined,), ("codes", None), table)
+    cache_put((combined,), ("codes", None), CodeTable.from_codes(labels, codes))
     return combined
 
 

@@ -17,12 +17,15 @@ import numpy as np
 from repro._validation import check_probability, check_random_state
 from repro.data.schema import Column, ColumnKind, ColumnRole, Schema
 from repro.exceptions import DatasetError, SchemaError
+from repro.kernel.codes import CodeTable, cache_put, codes_for, encode_declared
+from repro.observability.metrics import get_metrics
 
 __all__ = ["TabularDataset"]
 
 
-def _as_column_array(values, column: Column) -> np.ndarray:
-    """Coerce raw values into the canonical array for a column."""
+def _as_column_array(values, column: Column) -> tuple[np.ndarray, CodeTable | None]:
+    """A column's canonical array and, if discrete, its code table —
+    validated and encoded in one pass (``encode_declared``)."""
     if column.kind == ColumnKind.NUMERIC:
         arr = np.asarray(values, dtype=float)
     else:
@@ -36,18 +39,14 @@ def _as_column_array(values, column: Column) -> np.ndarray:
         raise DatasetError(
             f"column {column.name!r} must be 1-dimensional, got shape {arr.shape}"
         )
-    if column.is_discrete:
-        allowed = set(column.categories)
-        present = set(np.unique(arr).tolist())
-        extra = present - allowed
-        if extra:
-            raise DatasetError(
-                f"column {column.name!r} contains values outside its declared "
-                f"categories {column.categories}: {sorted(extra, key=repr)}"
-            )
+    table = (
+        encode_declared(arr, column.categories, column.name)
+        if column.is_discrete
+        else None
+    )
     arr = arr.copy()
     arr.setflags(write=False)
-    return arr
+    return arr, table
 
 
 class TabularDataset:
@@ -87,32 +86,58 @@ class TabularDataset:
         extra = [name for name in data if name not in schema]
         if extra:
             raise DatasetError(f"data has columns absent from schema: {extra}")
-        self._schema = schema
-        self._columns: dict[str, np.ndarray] = {
+        self._assemble(schema, {
             col.name: _as_column_array(data[col.name], col) for col in schema
-        }
-        lengths = {name: len(arr) for name, arr in self._columns.items()}
+        })
+
+    def _assemble(self, schema: Schema, pairs: dict) -> None:
+        """Set up from ``name → (canonical array, CodeTable or None)``."""
+        lengths = {name: len(arr) for name, (arr, _table) in pairs.items()}
         if len(set(lengths.values())) > 1:
             raise DatasetError(f"columns have mismatched lengths: {lengths}")
+        self._schema = schema
+        self._columns = {name: arr for name, (arr, _table) in pairs.items()}
         self._n_rows = next(iter(lengths.values())) if lengths else 0
+        #: column name → CodeTable; discrete columns from the start
+        self._tables = {
+            name: table for name, (_arr, table) in pairs.items()
+            if table is not None
+        }
+        for name, table in self._tables.items():
+            # metric functions receive bare column arrays: let the
+            # kernel's identity cache find the table for them too
+            cache_put((self._columns[name],), ("codes", None), table)
 
     @classmethod
-    def _trusted(
-        cls, schema: Schema, columns: dict[str, np.ndarray], n_rows: int
-    ) -> "TabularDataset":
-        """Build a dataset from already-canonical column arrays.
+    def _trusted(cls, schema: Schema, pairs: dict) -> "TabularDataset":
+        """Build a dataset from already-canonical columns and their tables.
 
         Internal fast path for operations whose outputs are canonical by
         construction (``take``/``concat`` of validated columns, packed
-        chunk reads): skips the per-column re-validation *and the copy*
-        of ``__init__``.  Callers guarantee the arrays are 1-D, schema
-        complete, length-consistent, read-only, and dtype-canonical.
+        chunk reads, reconstructions): skips the per-column validation,
+        encoding *and the copy* of ``__init__``.  Callers guarantee the
+        arrays are 1-D, read-only and dtype-canonical, and pair every
+        discrete column with exactly the table ``encode`` would build.
         """
         ds = object.__new__(cls)
-        ds._schema = schema
-        ds._columns = columns
-        ds._n_rows = n_rows
+        ds._assemble(schema, pairs)
         return ds
+
+    def _pair(self, column: Column) -> tuple:
+        """A column's array and, if discrete, its code table."""
+        name = column.name
+        return self.column(name), self.codes(name) if column.is_discrete else None
+
+    def _derive(self, schema: Schema, column: Column | None = None, values=None):
+        """This dataset's rows under ``schema``, carrying every column and
+        table it shares with ``self``; only ``column`` (new or replaced)
+        is validated and encoded."""
+        return TabularDataset._trusted(schema, {
+            col.name: _as_column_array(values, column)
+            if column is not None and col.name == column.name
+            else self._pair(col)
+            for col in schema
+        })
 
     # -- basic access ------------------------------------------------------
 
@@ -204,8 +229,8 @@ class TabularDataset:
 
     # -- row selection -----------------------------------------------------
 
-    def take(self, indices) -> "TabularDataset":
-        """A new dataset containing the rows at ``indices`` (in order)."""
+    def _indices(self, indices) -> np.ndarray:
+        """Row positions from an index array or a boolean mask."""
         indices = np.asarray(indices)
         if indices.dtype == bool:
             if len(indices) != self._n_rows:
@@ -217,16 +242,25 @@ class TabularDataset:
             raise DatasetError(
                 f"take indices must be 1-dimensional, got shape {indices.shape}"
             )
+        return indices
+
+    def take(self, indices) -> "TabularDataset":
+        """A new dataset containing the rows at ``indices`` (in order)."""
+        indices = self._indices(indices)
         # fancy indexing of already-canonical columns yields canonical
-        # arrays (dtype preserved, fresh contiguous copy), so the
-        # re-validating constructor — and its second full copy — is
+        # arrays (dtype preserved, fresh contiguous copy), and gathering
+        # the codes yields their tables, so the re-validating
+        # constructor — its encoding and second full copy — is
         # unnecessary here.
-        columns: dict[str, np.ndarray] = {}
-        for name, arr in self._columns.items():
+        pairs = {}
+        for col in self._schema:
+            arr, table = self._pair(col)
             picked = arr[indices]
             picked.setflags(write=False)
-            columns[name] = picked
-        return TabularDataset._trusted(self._schema, columns, len(indices))
+            pairs[col.name] = picked, None if table is None else (
+                CodeTable.from_codes(table.categories_array, table.codes[indices])
+            )
+        return TabularDataset._trusted(self._schema, pairs)
 
     def filter(self, **conditions) -> "TabularDataset":
         """Rows where every ``column=value`` condition holds.
@@ -265,7 +299,9 @@ class TabularDataset:
             n_test = int(round(test_fraction * len(members)))
             test_idx.extend(members[:n_test])
             train_idx.extend(members[n_test:])
-        return self.take(np.sort(train_idx)), self.take(np.sort(test_idx))
+        train, test = (np.sort(np.array(rows, dtype=np.int64))
+                       for rows in (train_idx, test_idx))
+        return self.take(train), self.take(test)
 
     def groupby(self, name: str):
         """Yield ``(value, subset)`` pairs for each distinct column value."""
@@ -287,9 +323,7 @@ class TabularDataset:
             schema = self._schema.replace_column(column)
         else:
             schema = self._schema.add(column)
-        data = dict(self._columns)
-        data[column.name] = values
-        return TabularDataset(schema, data)
+        return self._derive(schema, column, values)
 
     def with_predictions(
         self, values, name: str = "prediction"
@@ -300,9 +334,7 @@ class TabularDataset:
 
     def drop_column(self, name: str) -> "TabularDataset":
         """A new dataset without the named column."""
-        schema = self._schema.drop(name)
-        data = {k: v for k, v in self._columns.items() if k != name}
-        return TabularDataset(schema, data)
+        return self._derive(self._schema.drop(name))
 
     def with_role(self, name: str, role: str) -> "TabularDataset":
         """A new dataset in which column ``name`` has a different role.
@@ -311,7 +343,7 @@ class TabularDataset:
         demote a protected column to metadata so models cannot see it.
         """
         column = self._schema[name].with_role(role)
-        return TabularDataset(self._schema.replace_column(column), self._columns)
+        return self._derive(self._schema.replace_column(column))
 
     def concat(self, other: "TabularDataset") -> "TabularDataset":
         """Row-wise concatenation; schemas must declare identical columns."""
@@ -322,18 +354,25 @@ class TabularDataset:
             )
         if other.schema == self._schema:
             # identical schemas mean both sides' columns are already
-            # canonical for *this* schema; concatenate once and skip the
-            # validating constructor's second full copy.
-            columns: dict[str, np.ndarray] = {}
-            for name in self._schema.names():
-                joined = np.concatenate([self._columns[name], other.column(name)])
+            # canonical for *this* schema and carry their tables;
+            # concatenate once and skip the validating constructor's
+            # encoding and second full copy.
+            pairs = {}
+            for col in self._schema:
+                (arr, table), (more, more_table) = self._pair(col), other._pair(col)
+                joined = np.concatenate([arr, more])
                 joined.setflags(write=False)
-                columns[name] = joined
-            return TabularDataset._trusted(
-                self._schema, columns, self._n_rows + other.n_rows
-            )
+                pairs[col.name] = joined, None if table is None else (
+                    CodeTable.from_codes(
+                        np.concatenate([table.categories_array,
+                                        more_table.categories_array]),
+                        np.concatenate([table.codes,
+                                        more_table.codes + table.n_categories]),
+                    )
+                )
+            return TabularDataset._trusted(self._schema, pairs)
         data = {
-            name: np.concatenate([self._columns[name], other.column(name)])
+            name: np.concatenate([self.column(name), other.column(name)])
             for name in self._schema.names()
         }
         return TabularDataset(self._schema, data)
@@ -392,33 +431,30 @@ class TabularDataset:
 
         return dataset_fingerprint(self)
 
-    def codes(self, name: str, categories: list | None = None):
+    def codes(self, name: str) -> CodeTable:
         """The kernel :class:`~repro.kernel.CodeTable` for a column.
 
-        Each column is encoded exactly once per dataset: tables are
-        cached on the instance keyed by ``(fingerprint, name, category
-        order)``, and the table itself materialises per-category boolean
-        masks lazily.  Repeat lookups count as ``kernel.cache_hit``.
+        A discrete column's table comes with the dataset (encoded when
+        it was validated, or carried from the dataset it derives from)
+        and is served as a ``kernel.cache_hit``.  Only numeric columns
+        go through the identity cache (``codes_for``) on first use.
         """
-        from repro.kernel.codes import codes_for
-        from repro.observability.metrics import get_metrics
-
-        key = (
-            self.fingerprint(),
-            name,
-            None if categories is None else tuple(categories),
-        )
-        cache = getattr(self, "_code_tables", None)
-        if cache is None:
-            cache = {}
-            self._code_tables = cache
-        table = cache.get(key)
-        if table is not None:
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = self._encode(name)
+        else:
             get_metrics().counter("kernel.cache_hit").inc()
-            return table
-        table = codes_for(self.column(name), categories=categories)
-        cache[key] = table
         return table
+
+    def _encode(self, name: str) -> CodeTable:
+        """Build a table :meth:`codes` does not hold yet."""
+        return codes_for(self.column(name))
+
+    def present_categories(self, name: str) -> list:
+        """A discrete column's declared categories that occur, in
+        declared order — read off its code table, not the rows."""
+        index = self.codes(name).index
+        return [c for c in self._schema[name].categories if c in index]
 
     def category_mask(self, name: str, value) -> np.ndarray:
         """Cached read-only boolean mask of rows where ``column == value``."""

@@ -24,9 +24,9 @@ Format (``repro.packed`` version 1) — a directory containing:
     chunks without knowing the final row count up front.
 
 ``NNN-<column>.codes.npy``
-    For discrete columns, the int64 code array produced by
-    :func:`repro.kernel.codes.encode` (categories repr-sorted), written
-    at pack time so audits never re-encode a packed column.
+    For discrete columns, the int64 codes :func:`repro.kernel.codes.encode`
+    gives the whole column (categories repr-sorted), copied from the
+    datasets being packed and read back as ``PackedChunk.codes``.
 
 Bounded-memory readers deliberately use :func:`numpy.fromfile` (plain
 buffered reads) rather than slicing memmaps: pages read through a
@@ -49,6 +49,7 @@ import numpy as np
 from repro.data.dataset import TabularDataset, _as_column_array
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError, SchemaError
+from repro.kernel.codes import CodeTable
 
 __all__ = [
     "PACK_FORMAT",
@@ -204,10 +205,10 @@ class PackedWriter:
     """Chunked writer for the packed columnar format.
 
     Append any number of row chunks (mappings or datasets); ``close()``
-    rewrites the fixed headers with the final row count, encodes the
-    discrete columns' code tables, computes the content fingerprint in
-    one sequential pass, and atomically writes the sidecar.  A directory
-    without its ``dataset.json`` is therefore never a valid packed
+    rewrites the fixed headers with the final row count, computes the
+    content fingerprint in one sequential pass, and atomically writes
+    the sidecar; discrete columns' codes are written with their values.
+    A directory without its ``dataset.json`` is therefore never a valid packed
     dataset — a crash mid-pack cannot leave a readable-but-wrong one.
 
     Note on chunked string columns: the first chunk fixes each column's
@@ -234,17 +235,23 @@ class PackedWriter:
             )
         self._handles: dict = {}
         self._meta: dict[str, dict] = {}
-        self._uniques: dict[str, set] = {}
+        #: per discrete column: category → code in the files, in the
+        #: order categories arrived, and the row count of each code
+        self._index: dict[str, dict] = {}
+        self._counts: dict[str, list] = {}
         self._n_rows = 0
         self._closed = False
         for position, col in enumerate(schema):
             file_name = f"{position:03d}-{_safe_stem(col.name)}.npy"
-            handle = open(self.path / file_name, "wb")
-            handle.write(b"\x00" * _HEADER_BYTES)  # rewritten on close
-            self._handles[col.name] = handle
-            self._meta[col.name] = {"file": file_name, "dtype": None}
+            files = [file_name]
             if col.is_discrete:
-                self._uniques[col.name] = set()
+                files.append(_codes_file(file_name))
+                self._index[col.name], self._counts[col.name] = {}, []
+            for name in files:
+                handle = open(self.path / name, "wb")
+                handle.write(b"\x00" * _HEADER_BYTES)  # rewritten on close
+                self._handles[name] = handle
+            self._meta[col.name] = {"file": file_name, "dtype": None}
 
     # -- context manager: close on success, abort on error -----------------
 
@@ -258,29 +265,39 @@ class PackedWriter:
             self.abort()
 
     def append(self, data) -> int:
-        """Validate and write one chunk of rows; returns total rows so far."""
+        """Validate and write one chunk of rows; returns total rows so far.
+
+        A dataset chunk under this schema is written as it is, codes
+        included; anything else is validated and encoded once."""
         if self._closed:
             raise DatasetError(f"PackedWriter for {self.path} is already closed")
-        if isinstance(data, TabularDataset):
-            data = {col.name: data.column(col.name) for col in self.schema}
-        arrays: dict[str, np.ndarray] = {}
-        length = None
+        pairs = {}
         for col in self.schema:
-            if col.name not in data:
+            if isinstance(data, TabularDataset):
+                pairs[col.name] = (
+                    data._pair(col) if data.schema[col.name] == col
+                    else _as_column_array(data.column(col.name), col)
+                )
+            elif col.name not in data:
                 raise DatasetError(
                     f"chunk is missing column {col.name!r} declared in schema"
                 )
-            arr = _as_column_array(data[col.name], col)
-            if length is None:
-                length = len(arr)
-            elif len(arr) != length:
+            else:
+                pairs[col.name] = _as_column_array(data[col.name], col)
+        return self._write(pairs)
+
+    def _write(self, pairs: dict) -> int:
+        """Write ``name → (canonical array, code table)`` pairs, copying
+        each table's codes into the writer's category order."""
+        length = len(next(iter(pairs.values()))[0])
+        for col in self.schema:
+            if len(pairs[col.name][0]) != length:
                 raise DatasetError(
                     f"chunk columns have mismatched lengths: {col.name!r} has "
-                    f"{len(arr)}, expected {length}"
+                    f"{len(pairs[col.name][0])}, expected {length}"
                 )
-            arrays[col.name] = arr
         for col in self.schema:
-            arr = arrays[col.name]
+            arr, table = pairs[col.name]
             meta = self._meta[col.name]
             if meta["dtype"] is None:
                 if arr.dtype.hasobject:
@@ -301,9 +318,17 @@ class PackedWriter:
                         f"cannot safely cast to the established {meta['dtype']}"
                     )
                 arr = arr.astype(meta["dtype"])
+            _write_array(self._handles[meta["file"]], arr)
             if col.is_discrete:
-                self._uniques[col.name].update(np.unique(arr).tolist())
-            self._handles[col.name].write(np.ascontiguousarray(arr).tobytes())
+                index, counts = self._index[col.name], self._counts[col.name]
+                remap = [index.setdefault(c, len(index)) for c in table.categories]
+                counts.extend([0] * (len(index) - len(counts)))
+                for code, n in zip(remap, table.counts().tolist()):
+                    counts[code] += n
+                codes = table.codes
+                if remap != list(range(len(remap))):
+                    codes = np.asarray(remap, dtype=np.int64)[codes]
+                _write_array(self._handles[_codes_file(meta["file"])], codes)
         self._n_rows += int(length)
         return self._n_rows
 
@@ -312,10 +337,9 @@ class PackedWriter:
         if self._closed:
             return
         self._closed = True
-        for handle in self._handles.values():
+        for name, handle in self._handles.items():
             handle.close()
-        for meta in self._meta.values():
-            (self.path / meta["file"]).unlink(missing_ok=True)
+            (self.path / name).unlink(missing_ok=True)
 
     def close(self) -> Path:
         """Finalise headers, code tables, fingerprint, and sidecar."""
@@ -329,13 +353,15 @@ class PackedWriter:
         self._closed = True
         for col in self.schema:
             meta = self._meta[col.name]
-            handle = self._handles[col.name]
-            descr = np.lib.format.dtype_to_descr(meta["dtype"])
-            meta["descr"] = descr
-            handle.seek(0)
-            handle.write(_npy_header(descr, self._n_rows))
-            handle.flush()
-            handle.close()
+            meta["descr"] = np.lib.format.dtype_to_descr(meta["dtype"])
+            files = [(meta["file"], meta["descr"])]
+            if col.is_discrete:
+                files.append((_codes_file(meta["file"]), "<i8"))
+            for file_name, descr in files:
+                handle = self._handles[file_name]
+                handle.seek(0)
+                handle.write(_npy_header(descr, self._n_rows))
+                handle.close()
 
         # fingerprint: ONE running digest over layout + columns in schema
         # order, exactly mirroring provenance.dataset_fingerprint.
@@ -350,7 +376,7 @@ class PackedWriter:
                 digest.update(np.ascontiguousarray(chunk).tobytes())
             codes_entry = None
             if col.is_discrete:
-                codes_entry = self._write_codes(col.name, reader)
+                codes_entry = self._finish_codes(col.name)
             column_entries.append(
                 {
                     "name": col.name,
@@ -377,32 +403,37 @@ class PackedWriter:
         )
         return self.path
 
-    def _write_codes(self, name: str, value_reader: _NpyReader) -> dict:
-        """Encode one discrete column to codes, chunk by chunk.
-
-        Categories are the distinct values present, repr-sorted —
-        byte-identical to what :func:`repro.kernel.codes.encode` derives
-        from the whole column at once.
-        """
-        categories = sorted(self._uniques[name], key=repr)
-        index = {category: code for code, category in enumerate(categories)}
-        counts = np.zeros(len(categories), dtype=np.int64)
-        codes_file = self._meta[name]["file"].replace(".npy", ".codes.npy")
-        with open(self.path / codes_file, "wb") as handle:
-            handle.write(_npy_header("<i8", self._n_rows))
-            for chunk in _iter_file_chunks(value_reader, self.chunk_rows):
-                uniques, inverse = np.unique(chunk, return_inverse=True)
-                remap = np.array(
-                    [index[u] for u in uniques.tolist()], dtype=np.int64
-                )
-                codes = remap[inverse] if len(uniques) else np.zeros(0, np.int64)
-                counts += np.bincount(codes, minlength=len(categories))
-                handle.write(np.ascontiguousarray(codes).tobytes())
+    def _finish_codes(self, name: str) -> dict:
+        """The sidecar entry of a discrete column's code file: present
+        categories, repr-sorted.  Unless they arrived in that order (as
+        from :func:`pack_dataset`), the file is renumbered in place."""
+        index, counts = self._index[name], self._counts[name]
+        categories = sorted((c for c in index if counts[index[c]]), key=repr)
+        codes_file = _codes_file(self._meta[name]["file"])
+        if categories != list(index):
+            remap = np.full(len(index), -1, dtype=np.int64)
+            remap[[index[c] for c in categories]] = np.arange(len(categories))
+            reader = _NpyReader(
+                self.path / codes_file, "<i8", _HEADER_BYTES, self._n_rows
+            )
+            with open(self.path / codes_file, "r+b") as handle:
+                handle.seek(_HEADER_BYTES)
+                for chunk in _iter_file_chunks(reader, self.chunk_rows):
+                    _write_array(handle, remap[chunk])
         return {
             "file": codes_file,
             "categories": categories,
-            "counts": counts.tolist(),
+            "counts": [counts[index[c]] for c in categories],
         }
+
+
+def _codes_file(value_file: str) -> str:
+    return value_file.replace(".npy", ".codes.npy")
+
+
+def _write_array(handle, arr: np.ndarray) -> None:
+    """Append an array's bytes to an open file without copying them."""
+    handle.write(memoryview(np.ascontiguousarray(arr)).cast("B"))
 
 
 def pack_dataset(
@@ -411,17 +442,23 @@ def pack_dataset(
     """Pack an in-memory dataset into the columnar format at ``path``.
 
     The resulting directory opens as a :class:`MemmapDataset` whose
-    fingerprint equals ``dataset.fingerprint()``.
+    fingerprint equals ``dataset.fingerprint()``; the dataset's columns
+    and codes are written as they are, nothing is encoded again.
     """
+    pairs = [(col, dataset._pair(col)) for col in dataset.schema]
     with PackedWriter(path, dataset.schema, chunk_rows=chunk_rows) as writer:
         for lo in range(0, dataset.n_rows, chunk_rows):
             hi = min(lo + chunk_rows, dataset.n_rows)
-            writer.append(
-                {
-                    col.name: dataset.column(col.name)[lo:hi]
-                    for col in dataset.schema
-                }
-            )
+            writer._write({
+                col.name: (
+                    arr[lo:hi],
+                    None if table is None else CodeTable(
+                        table.categories, table.categories_array,
+                        table.codes[lo:hi],
+                    ),
+                )
+                for col, (arr, table) in pairs
+            })
     return Path(path)
 
 
@@ -547,7 +584,6 @@ def open_dataset(
                 "path": codes_path,
                 "offset": codes_offset,
                 "categories": list(codes["categories"]),
-                "counts": list(codes["counts"]),
             }
         meta[entry["name"]] = {
             "path": file_path,
@@ -649,7 +685,7 @@ class MemmapDataset(TabularDataset):
     pre-encoded pack-time table, ``take()`` of a contiguous range is a
     bounded buffered read, and the extra out-of-core hooks
     (``open_column``, ``codes_reader``, ``subset_counts``,
-    ``present_categories``, ``reader_for``) let the subgroup auditor and
+    ``reader_for``) let the subgroup auditor and
     enumerator run whole scans without ever holding a full column.
     """
 
@@ -667,7 +703,7 @@ class MemmapDataset(TabularDataset):
         self._n_rows = int(n_rows)
         self._meta = meta
         self._columns = _LazyColumns(schema.names(), self._load_column)
-        self._packed_tables: dict = {}
+        self._tables: dict = {}
         self.chunk_rows = int(chunk_rows)
         # pre-seed the provenance cache: dataset_fingerprint() and
         # fingerprint() read this attribute instead of hashing 100M rows.
@@ -695,13 +731,6 @@ class MemmapDataset(TabularDataset):
             raise DatasetError(
                 f"cannot memmap packed column file {meta['path']}: {exc}"
             ) from exc
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._schema:
-            raise SchemaError(
-                f"unknown column {name!r}; available: {self._schema.names()}"
-            )
-        return self._columns[name]
 
     # -- out-of-core hooks ---------------------------------------------------
 
@@ -731,40 +760,12 @@ class MemmapDataset(TabularDataset):
                 return self.open_column(name)
         return None
 
-    def present_categories(self, name: str) -> list:
-        """Declared categories actually present, in declared order.
-
-        Served from the sidecar's pack-time counts — the enumeration
-        layer uses this instead of scanning the column.
-        """
+    def _encode(self, name: str) -> CodeTable:
+        """A discrete column's table is the pack's: sidecar categories
+        over the memmapped ``.codes.npy``; nothing is read or encoded."""
         meta = self._require(name)
         if meta["codes"] is None:
-            raise DatasetError(
-                f"column {name!r} in {self._path} is not discrete"
-            )
-        present = set(meta["codes"]["categories"])
-        declared = self._schema[name].categories
-        return [c for c in declared if c in present]
-
-    def codes(self, name: str, categories: list | None = None):
-        """The kernel code table, served from the pack-time encoding.
-
-        With the default category order this is zero-cost: categories
-        come from the sidecar and the code array is the memmapped
-        ``.codes.npy``.  Explicit ``categories`` fall back to the base
-        encode-on-demand path.
-        """
-        from repro.observability.metrics import get_metrics
-
-        meta = self._require(name)
-        if categories is not None or meta["codes"] is None:
-            return super().codes(name, categories)
-        table = self._packed_tables.get(name)
-        if table is not None:
-            get_metrics().counter("kernel.cache_hit").inc()
-            return table
-        from repro.kernel.codes import CodeTable
-
+            return super()._encode(name)
         cats = list(meta["codes"]["categories"])
         try:
             cats_array = np.asarray(cats, dtype=np.dtype(meta["dtype"]))
@@ -773,9 +774,7 @@ class MemmapDataset(TabularDataset):
         codes_array = np.lib.format.open_memmap(
             meta["codes"]["path"], mode="r"
         )
-        table = CodeTable(cats, cats_array, codes_array)
-        self._packed_tables[name] = table
-        return table
+        return CodeTable(cats, cats_array, codes_array)
 
     def subset_counts(
         self, attributes: tuple, predictions=None
@@ -814,17 +813,7 @@ class MemmapDataset(TabularDataset):
     # -- row selection -------------------------------------------------------
 
     def take(self, indices) -> TabularDataset:
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            if len(indices) != self._n_rows:
-                raise DatasetError(
-                    f"boolean mask length {len(indices)} != n_rows {self._n_rows}"
-                )
-            indices = np.flatnonzero(indices)
-        if indices.ndim != 1:
-            raise DatasetError(
-                f"take indices must be 1-dimensional, got shape {indices.shape}"
-            )
+        indices = self._indices(indices)
         if len(indices):
             lo = int(indices[0])
             hi = lo + len(indices)
@@ -835,34 +824,13 @@ class MemmapDataset(TabularDataset):
                 and (len(indices) == 1 or bool(np.all(np.diff(indices) == 1)))
             ):
                 return PackedChunk(self, lo, hi)
-        columns: dict[str, np.ndarray] = {}
-        for col in self._schema:
-            picked = self.column(col.name)[indices]
-            picked.setflags(write=False)
-            columns[col.name] = picked
-        return TabularDataset._trusted(self._schema, columns, len(indices))
+        return super().take(indices)
 
     def iter_chunks(self, chunk_rows: int | None = None):
         """Yield contiguous row chunks (:class:`PackedChunk`) of the pack."""
         step = int(chunk_rows or self.chunk_rows)
         for lo in range(0, self._n_rows, step):
             yield PackedChunk(self, lo, min(lo + step, self._n_rows))
-
-    # -- column transformation: materialise, then delegate -------------------
-
-    def _thaw(self) -> TabularDataset:
-        """A fully-materialised (memmap-backed) in-memory view."""
-        columns = {col.name: self.column(col.name) for col in self._schema}
-        return TabularDataset._trusted(self._schema, columns, self._n_rows)
-
-    def with_column(self, column, values) -> TabularDataset:
-        return self._thaw().with_column(column, values)
-
-    def drop_column(self, name: str) -> TabularDataset:
-        return self._thaw().drop_column(name)
-
-    def with_role(self, name: str, role: str) -> TabularDataset:
-        return self._thaw().with_role(name, role)
 
     def __repr__(self) -> str:
         return (
@@ -874,16 +842,17 @@ class MemmapDataset(TabularDataset):
 class PackedChunk(TabularDataset):
     """Rows ``[lo, hi)`` of a pack; each column is read on first access.
 
-    :meth:`stored_codes` serves a discrete column's pack-time codes, so
-    a consumer that only counts categories
-    (:meth:`repro.streaming.AuditAccumulator.ingest_dataset`) reads the
-    code slices as stored — never the values, nor a column it skips.
+    :meth:`codes` of a discrete column reads only that column's slice of
+    the pack-time code file, so a consumer that only counts categories
+    (:meth:`repro.streaming.AuditAccumulator.ingest_dataset`) never
+    reads the values, nor a column it skips.
     """
 
     def __init__(self, pack: MemmapDataset, lo: int, hi: int):
         self._schema = pack.schema
         self._n_rows = hi - lo
         self._columns = _LazyColumns(pack.schema.names(), self._read)
+        self._tables: dict = {}
         self._pack = pack
         self._lo = lo
         self._hi = hi
@@ -893,13 +862,13 @@ class PackedChunk(TabularDataset):
         arr.setflags(write=False)
         return arr
 
-    def stored_codes(self, name: str):
-        """``(categories, codes)`` for a discrete column; ``None`` otherwise."""
-        meta = self._pack._require(name)
-        if meta["codes"] is None:
-            return None
+    def _encode(self, name: str) -> CodeTable:
+        if self._pack._require(name)["codes"] is None:
+            return super()._encode(name)
         codes = self._pack.codes_reader(name).read(self._lo, self._hi)
-        return meta["codes"]["categories"], codes
+        return CodeTable.from_codes(
+            self._pack.codes(name).categories_array, codes
+        )
 
 
 def stream_chunks(source, chunk_rows: int | None = None):

@@ -3,10 +3,9 @@
 The kernel is the library's hot path (ROADMAP: "fast as the hardware
 allows").  It has three parts:
 
-* **code tables** (:mod:`repro.kernel.codes`) — each sensitive column
-  encoded once to int codes, per-category boolean masks computed lazily
-  and cached; tables are cached by array identity and, on datasets, by
-  the dataset's sha256 fingerprint (``TabularDataset.codes``);
+* **code tables** (:mod:`repro.kernel.codes`) — each discrete column
+  encoded once, when its dataset is built, and carried by the dataset
+  (``TabularDataset.codes``); raw arrays are cached by array identity;
 * **joint contingency** (:mod:`repro.kernel.contingency`) — one
   ``np.bincount`` over combined (group × outcome × label) codes yields
   the confusion counts of every group at once, shared by all of the

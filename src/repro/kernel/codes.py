@@ -1,4 +1,4 @@
-"""Categorical code tables: encode once, mask lazily, cache by identity.
+"""Categorical code tables: encode once, mask lazily.
 
 Every group-wise computation in the library reduces to "which rows
 belong to category c of column A".  The pre-kernel implementation
@@ -9,11 +9,13 @@ into int64 codes whose order matches the library-wide deterministic
 group order (sorted by ``repr``), and materialises per-category boolean
 masks lazily, caching them on the table.
 
-Tables themselves are cached by *array identity* (:func:`codes_for`):
-dataset columns are stable, read-only arrays, so the ``id`` of the
-array — held via a weakref that evicts the entry when the array dies —
-is a sound cache key.  Cache traffic is counted in the PR 2 metrics
-registry as ``kernel.cache_hit`` / ``kernel.cache_miss``.
+A discrete dataset column is encoded once, by :func:`encode_declared`
+when its dataset is built, and its table travels with it through every
+derived dataset, pack and chunk (``TabularDataset.codes``).  The raw
+arrays public metric functions receive are served by :func:`codes_for`,
+cached by array identity (a weakref evicts an entry when its array
+dies); datasets register their columns' tables there too.  Cache
+traffic counts as ``kernel.cache_hit`` / ``kernel.cache_miss``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import weakref
 
 import numpy as np
 
-from repro.exceptions import ValidationError
+from repro.exceptions import DatasetError, ValidationError
 from repro.observability.metrics import get_metrics
 
 __all__ = [
-    "CodeTable", "CategoryTable", "encode", "codes_for", "cache_get",
-    "cache_put", "clear_cache",
+    "CodeTable", "CategoryTable", "encode", "encode_declared", "codes_for",
+    "cache_get", "cache_put", "clear_cache",
 ]
 
 
@@ -78,6 +80,34 @@ class CodeTable:
         self._masks[category] = mask
         return mask
 
+    @classmethod
+    def from_codes(cls, values: np.ndarray, codes: np.ndarray) -> "CodeTable":
+        """The table :func:`encode` builds for ``values[codes]``, from codes.
+
+        Only the values ``codes`` uses become categories, merged when
+        equal, repr-sorted and renumbered: one pass over the codes and at
+        most one integer ``take``; no row's value is compared or sorted.
+        """
+        if len(codes) and len(values) <= 2:  # min and max tell which occur
+            used = np.unique([codes.min(), codes.max()])
+        else:
+            seen = np.zeros(len(values), dtype=bool)
+            seen[codes] = True
+            used = np.flatnonzero(seen)
+        present = values[used].tolist()
+        first: dict = {}
+        for position, value in zip(used.tolist(), present):
+            first.setdefault(value, position)
+        categories = sorted(first, key=repr)
+        code = {category: i for i, category in enumerate(categories)}
+        remap = np.full(len(values), -1, dtype=np.int64)
+        remap[used] = [code[value] for value in present]
+        if np.array_equal(remap, np.arange(len(values))):
+            return cls(categories, values, codes)
+        return cls(
+            categories, values[[first[c] for c in categories]], remap[codes]
+        )
+
     def __repr__(self) -> str:
         return f"CodeTable(n_rows={self.n_rows}, categories={self.categories!r})"
 
@@ -116,6 +146,36 @@ def encode(values, categories: list | None = None) -> CodeTable:
             cats_array = np.asarray(cats, dtype=object)
     codes = remap[inverse] if len(unique_list) else np.zeros(0, dtype=np.int64)
     return CodeTable(cats, cats_array, codes)
+
+
+def encode_declared(values: np.ndarray, categories, name: str) -> CodeTable:
+    """Check a column against its declared categories and encode it.
+
+    The one encoder of discrete dataset columns: one ``searchsorted``
+    probe of the value-sorted declared categories plus an equality check
+    both validates and encodes, and the table equals ``encode(values)``
+    field for field.  Float and object values and mixed-type categories
+    take the sort-based path.  A value outside ``categories`` raises
+    :class:`~repro.exceptions.DatasetError`.
+    """
+    declared = np.asarray(categories)
+    kind = values.dtype.kind
+    if (
+        (kind in "biu" and values.dtype == declared.dtype)
+        or kind == declared.dtype.kind == "U"
+    ) and declared.tolist() == list(categories):
+        ordered = np.sort(declared)
+        positions = ordered.searchsorted(values).astype(np.int64, copy=False)
+        np.minimum(positions, len(ordered) - 1, out=positions)
+        if (ordered[positions] == values).all():
+            return CodeTable.from_codes(ordered.astype(values.dtype), positions)
+    extra = set(np.unique(values).tolist()) - set(categories)
+    if extra:
+        raise DatasetError(
+            f"column {name!r} contains values outside its declared "
+            f"categories {categories}: {sorted(extra, key=repr)}"
+        )
+    return encode(values)
 
 
 #: rows an empty :class:`CategoryTable` learns from before its first probe
@@ -181,70 +241,46 @@ class CategoryTable:
                 self._lookup = cats_array[order], order.astype(np.int64)
 
 
-class _IdentityCache:
-    """Weakref-evicted cache keyed by the ids of input arrays.
-
-    An entry dies with any of its key arrays, so a recycled ``id`` can
-    never alias a live entry; :meth:`get` additionally re-verifies the
-    weakrefs still point at the arrays passed in.
-    """
-
-    def __init__(self):
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, arrays: tuple, extra):
-        key = tuple(id(a) for a in arrays) + (extra,)
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            return None
-        refs, value = entry
-        if any(ref() is not array for ref, array in zip(refs, arrays)):
-            with self._lock:
-                self._entries.pop(key, None)
-            return None
-        return value
-
-    def put(self, arrays: tuple, extra, value):
-        key = tuple(id(a) for a in arrays) + (extra,)
-
-        def evict(_ref, key=key):
-            with self._lock:
-                self._entries.pop(key, None)
-
-        try:
-            refs = tuple(weakref.ref(array, evict) for array in arrays)
-        except TypeError:
-            return value
-        with self._lock:
-            self._entries[key] = (refs, value)
-        return value
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+#: the identity cache: ``(id of each key array..., extra) → (weakrefs,
+#: value)``.  An entry dies with any of its key arrays, so a recycled
+#: ``id`` can never alias a live entry; lookups re-check the weakrefs.
+_entries: dict = {}
+_lock = threading.Lock()
 
 
-_cache = _IdentityCache()
+def _evict(key) -> None:
+    with _lock:
+        _entries.pop(key, None)
 
 
 def cache_get(arrays: tuple, extra):
     """Fetch a kernel cache entry, counting ``kernel.cache_hit/miss``."""
-    value = _cache.get(arrays, extra)
-    if value is None:
-        get_metrics().counter("kernel.cache_miss").inc()
-    else:
-        get_metrics().counter("kernel.cache_hit").inc()
-    return value
+    key = tuple(id(a) for a in arrays) + (extra,)
+    with _lock:
+        entry = _entries.get(key)
+    if entry is not None and any(
+        ref() is not array for ref, array in zip(entry[0], arrays)
+    ):
+        _evict(key)
+        entry = None
+    hit = "kernel.cache_miss" if entry is None else "kernel.cache_hit"
+    get_metrics().counter(hit).inc()
+    return None if entry is None else entry[1]
 
 
 def cache_put(arrays: tuple, extra, value):
     """Store a kernel cache entry (no-op for unweakrefable inputs)."""
-    return _cache.put(arrays, extra, value)
+    key = tuple(id(a) for a in arrays) + (extra,)
+    try:
+        refs = tuple(
+            weakref.ref(array, lambda _ref, key=key: _evict(key))
+            for array in arrays
+        )
+    except TypeError:
+        return value
+    with _lock:
+        _entries[key] = (refs, value)
+    return value
 
 
 def clear_cache() -> None:
@@ -255,19 +291,18 @@ def clear_cache() -> None:
     clearing the cache must also unlink them, or every cleared scan
     would leak a ``/dev/shm`` file until interpreter exit.
     """
-    _cache.clear()
+    with _lock:
+        _entries.clear()
     from repro.kernel import shm
 
     shm.release_all()
 
 
-def codes_for(values, categories: list | None = None) -> CodeTable:
+def codes_for(values) -> CodeTable:
     """The :class:`CodeTable` for an array, cached by array identity."""
-    categories_key = None if categories is None else tuple(categories)
     if isinstance(values, np.ndarray):
-        table = cache_get((values,), ("codes", categories_key))
+        table = cache_get((values,), ("codes", None))
         if table is not None:
             return table
-        table = encode(values, categories)
-        return cache_put((values,), ("codes", categories_key), table)
-    return encode(values, categories)
+        return cache_put((values,), ("codes", None), encode(values))
+    return encode(values)

@@ -33,9 +33,8 @@ the *alerts* that are durable, via the event-bus sink).
 
 from __future__ import annotations
 
-import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -46,6 +45,7 @@ from repro.monitor.engine import MonitorFleet
 from repro.observability.events import get_event_bus
 from repro.observability.metrics import get_metrics
 from repro.observability.promfmt import PROM_CONTENT_TYPE, render_prometheus
+from repro.service.httpd import JsonHandler
 
 __all__ = ["MonitorService", "ShardSpool", "serve_http"]
 
@@ -243,26 +243,10 @@ class MonitorService:
         }
 
 
-class _MonitorHandler(BaseHTTPRequestHandler):
+class _MonitorHandler(JsonHandler):
     """Read-only HTTP surface for a running monitor service."""
 
     server_version = "repro-monitor/1"
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if getattr(self.server, "quiet", True):
-            return
-        super().log_message(format, *args)
-
-    def _send_bytes(self, status, body, content_type="application/json"):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status, payload):
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self._send_bytes(status, body)
 
     def do_GET(self):  # noqa: N802 — stdlib casing
         url = urlsplit(self.path)

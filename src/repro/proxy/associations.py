@@ -13,7 +13,6 @@ quantify that association for every feature/attribute kind combination:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro._validation import check_array_1d, check_positive_int, check_same_length
 from repro.exceptions import ValidationError
@@ -49,6 +48,8 @@ def cramers_v(x, y) -> float:
     r, k = table.shape
     if r < 2 or k < 2:
         return 0.0
+    from scipy import stats as sp_stats
+
     chi2 = sp_stats.chi2_contingency(table, correction=False)[0]
     phi2 = chi2 / n
     # Bergsma's bias correction.
@@ -71,6 +72,8 @@ def point_biserial(values, membership) -> float:
         return 0.0
     if np.std(values) == 0:
         return 0.0
+    from scipy import stats as sp_stats
+
     r, __ = sp_stats.pointbiserialr(membership, values)
     return float(abs(r))
 

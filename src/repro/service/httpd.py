@@ -104,13 +104,8 @@ def _preview_of(payload: dict, key: str) -> dict:
     return preview
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request; the engine lives on the server object."""
-
-    server_version = "repro-audit-service"
-    protocol_version = "HTTP/1.1"
-
-    # -- response helpers ----------------------------------------------------
+class JsonHandler(BaseHTTPRequestHandler):
+    """Response helpers shared by the audit and monitor HTTP services."""
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         if getattr(self.server, "quiet", True):
@@ -119,17 +114,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, status: int, body: bytes, *, headers=None,
                     content_type: str = "application/json"):
+        """Send headers and body in one ``wfile.write``: a body written
+        after ``end_headers`` leaves in a second small segment, which
+        Nagle's algorithm holds until a keep-alive client's delayed ACK
+        (~40 ms)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version != "HTTP/0.9":  # 0.9 responses carry no head
+            self._headers_buffer.append(b"\r\n")
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + body)
 
     def _send_json(self, status: int, payload: dict, *, headers=None):
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         self._send_bytes(status, body, headers=headers)
+
+
+class _Handler(JsonHandler):
+    """One request; the engine lives on the server object."""
+
+    server_version = "repro-audit-service"
+    protocol_version = "HTTP/1.1"
+
+    # -- response helpers ----------------------------------------------------
 
     def _send_error(self, status: int, message: str, **extra):
         self._send_json(status, {"error": message, **extra})

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro._validation import (
     check_array_1d,
@@ -163,6 +162,8 @@ def wasserstein_discrete(p, q, cost: np.ndarray) -> tuple[float, np.ndarray]:
     for j in range(m):
         A_eq[n + j, j::m] = 1.0
     b_eq = np.concatenate([p, q])
+    from scipy import optimize
+
     result = optimize.linprog(
         c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs"
     )

@@ -17,7 +17,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro._validation import check_positive_int, check_probability
 from repro.exceptions import ValidationError
@@ -96,6 +95,8 @@ def chi_square_independence(table, correction: bool = True) -> TestResult:
     table = table[table.any(axis=1)][:, table.any(axis=0)]
     if min(table.shape) < 2:
         return TestResult(0.0, 1.0, "chi_square")
+    from scipy import stats as sp_stats
+
     statistic, p_value, __, __ = sp_stats.chi2_contingency(
         table, correction=correction
     )

@@ -38,7 +38,7 @@ import numpy as np
 from repro.data.dataset import TabularDataset, _as_column_array
 from repro.data.schema import Column, ColumnKind, ColumnRole, Schema
 from repro.exceptions import AuditError, CheckpointError
-from repro.kernel.codes import CategoryTable, CodeTable, cache_put, encode
+from repro.kernel.codes import CategoryTable, CodeTable
 from repro.observability.metrics import get_metrics
 from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
 
@@ -175,21 +175,22 @@ class AuditAccumulator:
 
         Columns are pulled by the accumulator's configured names; for a
         model audit ``predictions`` is the aligned binary array (or
-        ``None`` for a data audit).  A chunk that serves stored codes
-        (``stored_codes(name)``, as packed chunks do) is counted from
-        those codes: its values are never read or re-encoded.
+        ``None`` for a data audit).  A discrete column is counted from
+        the chunk's code table (``chunk.codes(name)``), which every
+        dataset holds from construction and a packed chunk reads from
+        its pack: its values are never read or re-encoded.
         """
-        stored = getattr(chunk, "stored_codes", lambda name: None)
         names = [*self.protected, *filter(None, (self.strata, self.label))]
-        return self._ingest_columns(
-            [stored(name) or chunk.column(name) for name in names],
-            predictions,
-        )
+        return self._ingest_columns([
+            chunk.codes(name) if chunk.schema[name].is_discrete
+            else chunk.column(name)
+            for name in names
+        ], predictions)
 
     def _ingest_columns(self, columns: list, predictions) -> int:
         """Encode raw-value columns against the append-only category
         tables and count the chunk through :meth:`ingest_codes`;
-        ``(categories, codes)`` pairs pass through as they are."""
+        ``CodeTable`` columns pass through as they are."""
         if self.audits_labels:
             if predictions is not None:
                 raise AuditError(
@@ -201,11 +202,12 @@ class AuditAccumulator:
         else:
             columns.append(np.asarray(predictions))
         if any(np.ndim(column) != 1 for column in columns
-               if not isinstance(column, tuple)):
+               if not isinstance(column, CodeTable)):
             raise AuditError("chunk arrays must be 1-D and share one length")
         with get_metrics().timer("streaming.chunk_ingest"):
             return self.ingest_codes([
-                column if isinstance(column, tuple)
+                (column.categories, column.codes)
+                if isinstance(column, CodeTable)
                 else (table.categories, table.encode(column))
                 for column, table in zip(columns, self._tables)
             ])
@@ -281,22 +283,6 @@ class AuditAccumulator:
 
     #: former name, kept for span hooks that wrap it (perfbench/layers.py)
     ingest_counts = ingest_codes
-
-    def copy(self) -> "AuditAccumulator":
-        """An independent accumulator with identical counts.
-
-        Cell values are ints, so a shallow dict copy is a full copy;
-        the fleet uses this to pin each stream's window-base state
-        before computing the next :meth:`diff`.
-        """
-        clone = AuditAccumulator(
-            self.protected,
-            strata=self.strata,
-            label=self.label,
-            audits_labels=self.audits_labels,
-        )
-        clone.restore(self.snapshot())
-        return clone
 
     def snapshot(self) -> tuple:
         """The mutable counting state, cheaply copied.
@@ -524,10 +510,11 @@ class AuditAccumulator:
 
         No ``n_rows`` array is sorted or re-validated: each column is
         validated and encoded over its per-cell values, then
-        ``np.repeat``-ed, and its :class:`~repro.kernel.CodeTable` (the
-        per-cell codes, repeated — field-identical to ``encode`` of the
-        column) is registered in the kernel identity cache.  Categories
-        come from the cells, so ``TabularDataset._trusted`` is safe.
+        ``np.repeat``-ed, and so are its codes — every cell holds rows,
+        so the repeated table is field-identical to ``encode`` of the
+        column.  The dataset is built with those tables attached;
+        categories come from the cells, so ``TabularDataset._trusted``
+        is safe.
         """
         if self.n_rows == 0:
             raise AuditError("accumulator is empty; ingest chunks first")
@@ -543,7 +530,7 @@ class AuditAccumulator:
         if self.strata is not None:
             roles.append((self.strata, ColumnRole.FEATURE))
         schema_columns = []
-        data = {}
+        pairs = {}
         for axis, (name, role) in enumerate(roles):
             schema_columns.append(
                 Column(
@@ -562,23 +549,15 @@ class AuditAccumulator:
                 )
             )
         for axis, column in enumerate(schema_columns):
-            per_cell = _as_column_array(cell_values(axis), column)
-            table = encode(per_cell)
+            per_cell, table = _as_column_array(cell_values(axis), column)
             values = np.repeat(per_cell, counts)
             values.setflags(write=False)
-            cache_put(
-                (values,),
-                ("codes", None),
-                CodeTable(
-                    table.categories,
-                    table.categories_array,
-                    np.repeat(table.codes, counts),
-                ),
+            pairs[column.name] = values, CodeTable(
+                table.categories,
+                table.categories_array,
+                np.repeat(table.codes, counts),
             )
-            data[column.name] = values
-        dataset = TabularDataset._trusted(
-            Schema(tuple(schema_columns)), data, int(counts.sum())
-        )
+        dataset = TabularDataset._trusted(Schema(tuple(schema_columns)), pairs)
         predictions = (
             None
             if self.audits_labels

@@ -134,15 +134,7 @@ def enumerate_subgroups(
                 f"subgroup enumeration requires discrete columns; "
                 f"{attribute!r} is {column.kind}"
             )
-        if hasattr(dataset, "present_categories"):
-            # packed datasets recorded the present categories at pack
-            # time — no column scan needed.
-            categories[attribute] = dataset.present_categories(attribute)
-        else:
-            present = set(dataset.column(attribute).tolist())
-            categories[attribute] = [
-                c for c in column.categories if c in present
-            ]
+        categories[attribute] = dataset.present_categories(attribute)
 
     space = subgroup_space_size(
         [len(categories[a]) for a in attributes], max_order

@@ -16,7 +16,10 @@ specification the library is compared against:
 * :mod:`tests.oracle.subgroup` — the per-subgroup mask scan and the
   per-leaf scoring loop of the learned-oracle auditor;
 * :mod:`tests.oracle.sampling` — the one-sample-per-trial loop of the
-  sample-complexity curve.
+  sample-complexity curve;
+* :mod:`tests.oracle.pack` — the packed writer's two-pass encoding
+  (``np.unique`` while appending, then re-read and re-encode on close)
+  and the old category check with its error text.
 
 Nothing in ``src/`` imports or knows about this package.
 """
