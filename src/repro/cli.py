@@ -629,7 +629,7 @@ def _cmd_merge_state(args) -> int:
 
     merged = merge_states(args.states)
     print(f"merged {len(args.states)} shard states: {merged.n_rows} rows, "
-          f"{len(merged._cells)} cells, "
+          f"{merged.n_cells} cells, "
           f"{merged.chunks_ingested} chunks ingested")
     if args.out:
         merged.save(args.out)

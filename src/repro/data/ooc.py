@@ -211,9 +211,9 @@ class PackedWriter:
     A directory without its ``dataset.json`` is therefore never a valid packed
     dataset — a crash mid-pack cannot leave a readable-but-wrong one.
 
-    Note on chunked string columns: the first chunk fixes each column's
-    dtype (later chunks must cast safely), so a stream whose widest
-    string appears late must pre-widen its arrays.  :func:`pack_dataset`
+    Note on chunked string columns: the first non-empty chunk fixes each
+    column's dtype (later chunks must cast safely), so a stream whose
+    widest string appears late must pre-widen its arrays.  :func:`pack_dataset`
     slices a validated dataset and is immune.
     """
 
@@ -296,6 +296,8 @@ class PackedWriter:
                     f"chunk columns have mismatched lengths: {col.name!r} has "
                     f"{len(pairs[col.name][0])}, expected {length}"
                 )
+        if not length:  # an empty chunk writes nothing, fixes no dtype
+            return self._n_rows
         for col in self.schema:
             arr, table = pairs[col.name]
             meta = self._meta[col.name]

@@ -194,11 +194,12 @@ class CategoryTable:
     the probe cannot compare, fall back to :func:`encode` (a sort).
     """
 
-    __slots__ = ("categories", "_seen", "_lookup")
+    __slots__ = ("categories", "_codes", "_lookup")
 
     def __init__(self):
         self.categories: list = []
-        self._seen: set = set()
+        #: category → code (its position in :attr:`categories`)
+        self._codes: dict = {}
         #: (value-sorted categories, sorted position → code) or None
         self._lookup: tuple | None = None
 
@@ -225,20 +226,29 @@ class CategoryTable:
         self._learn(arr)
         return encode(arr, categories=self.categories).codes
 
+    def index(self, values: list) -> np.ndarray:
+        """int64 codes of ``values``; unseen ones are appended first, in
+        repr order, and the probe is rebuilt.  Equal values share a code."""
+        codes = self._codes
+        new = [v for v in dict.fromkeys(values) if v not in codes]
+        if new:
+            for value in sorted(new, key=repr):
+                value = value.item() if hasattr(value, "item") else value
+                codes[value] = len(self.categories)
+                self.categories.append(value)
+            self._lookup = None
+            if len({type(v) for v in self.categories}) == 1:
+                cats_array = np.asarray(self.categories)
+                if cats_array.dtype != object:
+                    order = np.argsort(cats_array)
+                    self._lookup = cats_array[order], order.astype(np.int64)
+        return np.fromiter(
+            map(codes.__getitem__, values), dtype=np.int64, count=len(values)
+        )
+
     def _learn(self, values) -> None:
-        """Append the values not yet known and rebuild the probe."""
-        seen = self._seen
-        new = [v for v in np.unique(values).tolist() if v not in seen]
-        for value in sorted(new, key=repr):
-            value = value.item() if hasattr(value, "item") else value
-            seen.add(value)
-            self.categories.append(value)
-        self._lookup = None
-        if len({type(v) for v in self.categories}) == 1:
-            cats_array = np.asarray(self.categories)
-            if cats_array.dtype != object:
-                order = np.argsort(cats_array)
-                self._lookup = cats_array[order], order.astype(np.int64)
+        """Append the values of an array not yet known."""
+        self.index(np.unique(values).tolist())
 
 
 #: the identity cache: ``(id of each key array..., extra) → (weakrefs,

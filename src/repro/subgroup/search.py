@@ -212,6 +212,9 @@ class _Lattice:
         self.attributes = list(attributes)
         self.tables = [dataset.codes(a) for a in attributes]
         self.radix = [t.n_categories for t in self.tables]
+        #: code bounds of the scan accumulator's axes: the attributes',
+        #: then the 0/1 prediction's
+        self.bounds = (*self.radix, 2)
         k = len(attributes)
         self.subsets: list[tuple[int, ...]] = [
             positions
@@ -250,20 +253,6 @@ class _Lattice:
         return build
 
 
-def _cells_arrays(accumulator: AuditAccumulator) -> tuple[np.ndarray, np.ndarray]:
-    """The accumulator's sparse cells as aligned (keys, counts) arrays.
-
-    Keys are sorted so every derived quantity is independent of dict
-    insertion order (serial vs parallel ingest, resumed vs fresh).
-    """
-    items = sorted(accumulator._cells.items())
-    if not items:
-        return np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    keys = np.asarray([key for key, _ in items], dtype=np.int64)
-    counts = np.asarray([count for _, count in items], dtype=np.int64)
-    return keys, counts
-
-
 class _Marginals:
     """Dense per-subset (sizes, positives) tensors from sparse joint cells.
 
@@ -285,10 +274,6 @@ class _Marginals:
         if cached is not None:
             return cached
         n_cells = self.lattice.n_cells(positions)
-        if len(self._keys) == 0:
-            empty = np.zeros(n_cells, dtype=np.int64)
-            self._cache[positions] = (empty, empty.copy())
-            return self._cache[positions]
         combined = self._keys[:, positions[0]].copy()
         for i in positions[1:]:
             combined *= self.lattice.radix[i]
@@ -695,16 +680,13 @@ def _ingest_range(
     categories = [
         list(range(dataset.codes(attribute).n_categories))
         for attribute in attributes
-    ]
+    ] + [[0, 1]]
     step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
     for start in range(lo, hi, step):
         end = min(start + step, hi)
         accumulator.ingest_codes([
-            *(
-                (cats, reader(start, end))
-                for cats, reader in zip(categories, readers)
-            ),
-            ([0, 1], pred(start, end)),
+            (cats, read(start, end))
+            for cats, read in zip(categories, [*readers, pred])
         ])
         if on_chunk is not None:
             on_chunk(end)
@@ -713,9 +695,8 @@ def _ingest_range(
 def _ingest_parallel(
     accumulator: AuditAccumulator,
     dataset: TabularDataset,
-    attributes: list[str],
-    pred_source,
     lattice: _Lattice,
+    pred_source,
     lo: int,
     pool,
     on_chunk=None,
@@ -724,8 +705,10 @@ def _ingest_parallel(
 
     Workers receive zero-copy source manifests (shared memory for
     in-memory datasets, packed column files otherwise) and return
-    sparse ``(combined code, count)`` pairs; integer addition makes the
-    merged cells identical to a serial ingest regardless of chunking.
+    sparse ``(combined code, count)`` pairs, which the parent counts
+    through :meth:`~repro.streaming.AuditAccumulator.ingest_codes` as
+    weights; integer addition makes the cells identical to a serial
+    ingest regardless of chunking.
     A task is one ingest chunk, as in the serial ingest, so a worker
     holds one chunk's codes however large the dataset.
     """
@@ -743,7 +726,7 @@ def _ingest_parallel(
 
     sources = {
         "token": uuid.uuid4().hex,
-        "columns": [manifest(a) for a in attributes],
+        "columns": [manifest(a) for a in lattice.attributes],
         "n_categories": list(lattice.radix),
         "predictions": (
             pred_source.manifest()
@@ -754,21 +737,17 @@ def _ingest_parallel(
     n_rows = dataset.n_rows
     step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
     ranges = chunk_ranges(lo, n_rows, step)
-    shape = tuple(lattice.radix) + (2,)
     futures = [
         pool.submit(count_cells_chunk, sources, lo_, hi_)
         for lo_, hi_ in ranges
     ]
-    for (lo_, hi_), future in zip(ranges, futures):
+    categories = [list(range(bound)) for bound in lattice.bounds]
+    for (_lo, hi_), future in zip(ranges, futures):
         codes, counts = future.result()
-        if codes:
-            digits = np.unravel_index(np.asarray(codes, dtype=np.int64), shape)
-            cells = accumulator._cells
-            for position, count in enumerate(counts):
-                key = tuple(int(axis[position]) for axis in digits)
-                cells[key] = cells.get(key, 0) + int(count)
-        accumulator.n_rows += hi_ - lo_
-        accumulator.chunks_ingested += 1
+        digits = np.unravel_index(
+            np.asarray(codes, dtype=np.int64), lattice.bounds
+        )
+        accumulator.ingest_codes(list(zip(categories, digits)), weights=counts)
         if on_chunk is not None:
             on_chunk(hi_)
 
@@ -798,13 +777,7 @@ def _restored_counts(
         or accumulator.label is not None
     ):
         raise ValueError("accumulator layout does not match the lattice")
-    bounds = (*lattice.radix, 2)
-    for key in accumulator._cells:
-        if not all(
-            type(code) is int and 0 <= code < bound
-            for code, bound in zip(key, bounds)
-        ):
-            raise ValueError(f"cell {key!r} lies outside the lattice")
+    accumulator.lattice_cells(lattice.bounds)
     if accumulator.n_rows > n_total:
         raise ValueError(
             f"{accumulator.n_rows} rows counted, the dataset has {n_total}"
@@ -1263,8 +1236,7 @@ def scan_subgroups(
         if rows_done < n_total:
             if pool is not None:
                 _ingest_parallel(
-                    accumulator, dataset, attributes, pred_source, lattice,
-                    rows_done, pool,
+                    accumulator, dataset, lattice, pred_source, rows_done, pool,
                     on_chunk=ingest_checkpoint if checkpoint_path else None,
                 )
             else:
@@ -1278,7 +1250,7 @@ def scan_subgroups(
                 f"ingest covered {accumulator.n_rows} rows, expected {n_total}"
             )
 
-        keys, counts = _cells_arrays(accumulator)
+        keys, counts = accumulator.lattice_cells(lattice.bounds)
         marginals = _Marginals(lattice, keys, counts)
         by_subset = _prepare_marginals(
             lattice, marginals, config, positives_total, n_total, metrics
@@ -1429,12 +1401,12 @@ def rescan(
             )
         # 2. … merge it into the stored cells (integer addition — the
         # merged accumulator equals a full ingest of the grown data).
-        merged = AuditAccumulator.from_dict(state.accumulator.to_dict())
+        merged = AuditAccumulator.merge_all([state.accumulator])
         merged.merge(delta)
 
         # 3. Fold the delta's marginals into the stored per-subgroup
         # counts — O(observed delta cells) per subset, no full recount.
-        delta_keys, delta_counts = _cells_arrays(delta)
+        delta_keys, delta_counts = delta.lattice_cells(lattice.bounds)
         delta_marginals = _Marginals(lattice, delta_keys, delta_counts)
         by_subset: dict[tuple[int, ...], dict] = {}
         rescored = 0
@@ -1457,7 +1429,7 @@ def rescan(
 
         # 4. Bounds + scoring + corrections over the merged counts —
         # identical, by construction, to a from-scratch scan.
-        keys, counts = _cells_arrays(merged)
+        keys, counts = merged.lattice_cells(lattice.bounds)
         marginals = _Marginals(lattice, keys, counts)
         threshold = config.alpha + config.bound_slack
         prune = config.strategy in ("best_first", "incremental")

@@ -263,3 +263,32 @@ def test_pack_other_generators_roundtrip(tmp_path):
     pack_dataset(data, tmp_path / "h")
     loaded = open_dataset(tmp_path / "h", verify=True)
     assert dataset_fingerprint(loaded) == dataset_fingerprint(data)
+
+
+def test_empty_first_chunk_fixes_no_dtype(tmp_path):
+    # an empty list is float64 to numpy: were it to fix the column's
+    # dtype, the string chunk after it could not be cast
+    from repro.data import Column, Schema
+
+    schema = Schema((
+        Column("g", kind="categorical", role="protected",
+               categories=("a", "b")),
+        Column("y", kind="binary", role="label"),
+    ))
+    chunks = [{"g": ["a", "b", "a"], "y": [1, 0, 1]}, {"g": ["b"], "y": [0]}]
+    with PackedWriter(tmp_path / "plain", schema) as writer:
+        for chunk in chunks:
+            writer.append(chunk)
+    with PackedWriter(tmp_path / "empty", schema) as writer:
+        writer.append({"g": [], "y": []})
+        writer.append(chunks[0])
+        assert writer.append({"g": [], "y": []}) == 3
+        writer.append(chunks[1])
+    plain, empty = open_dataset(tmp_path / "plain"), open_dataset(tmp_path / "empty")
+    assert packed_fingerprint(tmp_path / "empty") == packed_fingerprint(
+        tmp_path / "plain"
+    )
+    for name in ("g", "y"):
+        np.testing.assert_array_equal(empty.column(name), plain.column(name))
+        assert empty.column(name).dtype == plain.column(name).dtype
+    assert empty.codes("g").categories == ["a", "b"]

@@ -20,6 +20,9 @@ specification the library is compared against:
 * :mod:`tests.oracle.pack` — the packed writer's two-pass encoding
   (``np.unique`` while appending, then re-read and re-encode on close)
   and the old category check with its error text.
+* :mod:`tests.oracle.accumulator` — the ``dict[tuple, int]`` cell state
+  of :class:`~repro.streaming.AuditAccumulator` that its code matrix and
+  counts vector replaced.
 
 Nothing in ``src/`` imports or knows about this package.
 """
